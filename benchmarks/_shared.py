@@ -76,17 +76,16 @@ def bench_metadata(**extra) -> dict:
     ``"environment"`` key.  Keyword arguments extend (and may override)
     the base fields for bench-specific context.
     """
-    from repro.backend import available_backends, device_info
-
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = {}
     record = {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": blas.get("name", "unknown"),
         "platform": platform.platform(),
-        "backends": {
-            name: device_info(None if name == "numpy" else name)
-            for name in available_backends()
-        },
         "bench_scale": SCALE,
     }
     record.update(extra)

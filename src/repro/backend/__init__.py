@@ -1,46 +1,1 @@
-"""Array-API backend dispatch for the simulator hot kernels.
-
-The default backend is numpy and is **bit-identical** to the pre-backend
-releases; ``torch`` / ``cupy`` (via ``array-api-compat``) drop into the same
-kernels under a float64 tolerance contract.  Select per call
-(``backend="torch"``) or process-wide (``REPRO_BACKEND=torch``).  See
-DESIGN.md, "Backends".
-"""
-
-from repro.backend.dispatch import (
-    BACKEND_ENV,
-    BackendUnavailableError,
-    KNOWN_BACKENDS,
-    array_namespace,
-    astype,
-    available_backends,
-    device_info,
-    errstate,
-    gather_1d,
-    get_namespace,
-    is_numpy_namespace,
-    resolve_backend,
-    take_along_axis,
-    to_numpy,
-)
-from repro.backend.linalg import TINY_SOLVE_MAX, can_solve_tiny, solve_tiny
-
-__all__ = [
-    "BACKEND_ENV",
-    "BackendUnavailableError",
-    "KNOWN_BACKENDS",
-    "TINY_SOLVE_MAX",
-    "array_namespace",
-    "astype",
-    "available_backends",
-    "can_solve_tiny",
-    "device_info",
-    "errstate",
-    "gather_1d",
-    "get_namespace",
-    "is_numpy_namespace",
-    "resolve_backend",
-    "solve_tiny",
-    "take_along_axis",
-    "to_numpy",
-]
+"""Package of the tracer stub; see ``dispatch.py``."""

@@ -1,234 +1,12 @@
-"""Array-API namespace dispatch for the simulator hot kernels.
+"""Stub whose only reader is ``perfbench/tracer.py``.
 
-Every hot kernel in this library — the EKV device model, the batched Newton
-DC solver, the transient engine, the butterfly interpolators — is written
-against a namespace object ``xp`` instead of a hard ``numpy`` import.  On the
-default path ``xp`` *is* the ``numpy`` module, so the kernels execute exactly
-the instructions they always did (the bit-identity contract); with ``torch``
-or ``cupy`` installed alongside ``array-api-compat``, the same kernels run on
-those backends under a float64 *tolerance* contract instead (see DESIGN.md,
-"Backends").
-
-Selection is per-call (a ``backend=`` argument accepting a name or a
-namespace object) or process-wide via the ``REPRO_BACKEND`` environment
-variable; ``None`` always means "the environment's choice, numpy by default".
-
-The module also carries the small compatibility shims the kernels need where
-numpy idiom and the array-API standard diverge (``take_along_axis``,
-``astype``, ``errstate``), each reducing to the plain numpy call on the
-numpy path.
+The tracer wraps ``array_namespace`` when it installs.  Nothing in the
+library imports this module, so a traced run reports zero calls.  Delete it
+together with the tracer's ``backend.namespace`` row.
 """
-
-from __future__ import annotations
-
-import contextlib
-import os
-from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Backends this library knows how to load, in reporting order.
-KNOWN_BACKENDS = ("numpy", "torch", "cupy")
-
-
-class BackendUnavailableError(ImportError):
-    """Requested array backend (or its compat layer) is not installed."""
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend *name*: explicit argument > ``REPRO_BACKEND`` > numpy."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip() or "numpy"
-    name = name.lower()
-    if name in ("np", "numpy.array_api"):
-        name = "numpy"
-    return name
-
-
-def _load_compat(module: str):
-    try:
-        import array_api_compat
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            f"backend {module!r} needs the 'array-api-compat' package "
-            "(pip install 'repro[backends]')"
-        ) from exc
-    try:
-        if module == "torch":
-            import array_api_compat.torch as xp
-        elif module == "cupy":
-            import array_api_compat.cupy as xp
-        else:  # pragma: no cover - guarded by get_namespace
-            raise BackendUnavailableError(f"unknown backend {module!r}")
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            f"backend {module!r} is not installed (array-api-compat "
-            f"{array_api_compat.__version__} is present)"
-        ) from exc
-    return xp
-
-
-def get_namespace(backend: Union[None, str, object] = None):
-    """Return the array namespace for ``backend``.
-
-    ``backend`` may be ``None`` (environment default), a known name
-    (``"numpy"`` / ``"torch"`` / ``"cupy"``), or an already-resolved
-    namespace object (returned unchanged — this is how tests inject strict
-    array-API wrapper namespaces).
-    """
-    if backend is not None and not isinstance(backend, str):
-        return backend  # already a namespace object
-    name = resolve_backend(backend)
-    if name == "numpy":
-        return np
-    if name in ("torch", "cupy"):
-        return _load_compat(name)
-    raise BackendUnavailableError(
-        f"unknown backend {name!r}; known backends: {', '.join(KNOWN_BACKENDS)}"
-    )
-
-
-def available_backends() -> List[str]:
-    """Names of the backends that import successfully on this machine."""
-    out = ["numpy"]
-    for name in KNOWN_BACKENDS[1:]:
-        try:
-            get_namespace(name)
-        except BackendUnavailableError:
-            continue
-        out.append(name)
-    return out
-
-
-def is_numpy_namespace(xp) -> bool:
-    """True when ``xp`` executes plain numpy (the bit-identity contract)."""
-    if xp is np:
-        return True
-    return getattr(xp, "__name__", "").split(".")[-1] == "numpy"
-
 
 def array_namespace(*arrays):
-    """Infer the namespace of ``arrays`` (scalars ignored; numpy fallback).
-
-    The all-numpy fast path is a few ``isinstance`` checks, so hot kernels
-    can call this unconditionally; mixed foreign arrays are resolved through
-    ``array_api_compat.array_namespace`` when that package is installed.
-    """
-    foreign = []
-    for a in arrays:
-        if a is None or isinstance(a, (int, float, complex, np.ndarray, np.generic)):
-            continue
-        if hasattr(a, "shape") and hasattr(a, "dtype"):
-            foreign.append(a)
-    if not foreign:
-        return np
-    ns = getattr(type(foreign[0]), "__array_namespace__", None)
-    try:
-        import array_api_compat
-        return array_api_compat.array_namespace(*foreign)
-    except ImportError:
-        if ns is not None:
-            return foreign[0].__array_namespace__()
-        return np
-
-
-def to_numpy(x) -> np.ndarray:
-    """Convert any backend's array to a numpy array (no-op for numpy)."""
-    if isinstance(x, np.ndarray):
-        return x
-    if hasattr(x, "get"):  # cupy device array
-        return np.asarray(x.get())
-    if hasattr(x, "detach"):  # torch tensor (possibly on an accelerator)
-        x = x.detach()
-        if hasattr(x, "cpu"):
-            x = x.cpu()
-    return np.asarray(x)
-
-
-def asarray_1d_float(xp, value):
-    """``xp.asarray(value, float64)`` — the boundary conversion helper."""
-    return xp.asarray(value, dtype=xp.float64)
-
-
-def astype(xp, x, dtype):
-    """Cast ``x`` — ``ndarray.astype`` on numpy, ``xp.astype`` elsewhere."""
-    if hasattr(x, "astype"):
-        return x.astype(dtype)
-    return xp.astype(x, dtype)
-
-
-def take_along_axis(xp, x, indices, axis: int):
-    """``take_along_axis`` with a pure array-API fallback.
-
-    numpy (and any namespace exporting the 2024.12 ``take_along_axis``)
-    dispatches directly; otherwise the gather is rebuilt from
-    ``permute_dims`` / ``reshape`` / ``take`` on flat indices, which every
-    array-API namespace provides.
-    """
-    fn = getattr(xp, "take_along_axis", None)
-    if fn is not None:
-        return fn(x, indices, axis=axis)
-    nd = len(x.shape)
-    axis = axis % nd
-    perm = tuple(i for i in range(nd) if i != axis) + (axis,)
-    inv_perm = tuple(int(np.argsort(perm)[i]) for i in range(nd))
-    xm = xp.permute_dims(x, perm)
-    im = xp.permute_dims(indices, perm)
-    lead = np.broadcast_shapes(tuple(xm.shape[:-1]), tuple(im.shape[:-1]))
-    k = xm.shape[-1]
-    j = im.shape[-1]
-    xm = xp.broadcast_to(xm, lead + (k,))
-    im = xp.broadcast_to(im, lead + (j,))
-    n_rows = int(np.prod(lead)) if lead else 1
-    flat_x = xp.reshape(xm, (n_rows * k,))
-    flat_i = xp.reshape(im, (n_rows, j))
-    offsets = xp.reshape(xp.arange(n_rows, dtype=flat_i.dtype) * k, (n_rows, 1))
-    gathered = xp.take(flat_x, xp.reshape(flat_i + offsets, (-1,)), axis=0)
-    return xp.permute_dims(xp.reshape(gathered, lead + (j,)), inv_perm)
-
-
-def gather_1d(xp, values, indices):
-    """``values[indices]`` for 1-D ``values`` and N-D integer ``indices``.
-
-    numpy fancy indexing handles this directly; the array-API ``take`` only
-    guarantees 1-D indices, so other namespaces go through a flatten /
-    take / reshape round-trip.
-    """
-    if isinstance(values, np.ndarray) and isinstance(indices, np.ndarray):
-        return values[indices]
-    shape = tuple(indices.shape)
-    flat = xp.reshape(indices, (-1,))
-    return xp.reshape(xp.take(values, flat, axis=0), shape)
-
-
-def errstate(xp, **kwargs):
-    """``np.errstate`` on numpy, a null context on other namespaces."""
-    if is_numpy_namespace(xp):
-        return np.errstate(**kwargs)
-    return contextlib.nullcontext()
-
-
-def device_info(backend: Union[None, str, object] = None) -> dict:
-    """Describe a backend for benchmark metadata (name, device, versions)."""
-    xp = get_namespace(backend)
-    name = getattr(xp, "__name__", str(xp)).split(".")[-1]
-    info = {"backend": name}
-    if is_numpy_namespace(xp):
-        info["numpy_version"] = np.__version__
-        try:
-            cfg = np.show_config(mode="dicts")  # numpy >= 1.25
-            blas = cfg.get("Build Dependencies", {}).get("blas", {})
-            info["blas"] = blas.get("name", "unknown")
-        except Exception:  # pragma: no cover - very old numpy
-            info["blas"] = "unknown"
-    elif name == "torch":
-        import torch
-        info["torch_version"] = torch.__version__
-        info["threads"] = torch.get_num_threads()
-    elif name == "cupy":  # pragma: no cover - no GPU in CI
-        import cupy
-        info["cupy_version"] = cupy.__version__
-    return info
+    return np

@@ -25,8 +25,8 @@ This module *compiles* the walk once per circuit topology:
 
 Bit-identity contract
 ---------------------
-On the numpy backend the compiled path is **bit-identical** to the generic
-walk.  This rests on three facts, each load-bearing:
+The compiled path is **bit-identical** to the generic walk.  This rests on
+three facts, each load-bearing:
 
 1. IEEE elementwise arithmetic is value-deterministic per lane: evaluating
    a device's equations on a stacked ``(m, n)`` block yields bitwise the
@@ -384,7 +384,7 @@ class StampWorkspace:
                 delta = self._delta[:, lo:hi] if has_delta else 0.0
                 ids, d_dvg, d_dvd, d_dvs = ekv_current_and_derivs(
                     vg, vd, vs, vb, plan.mos_pol, plan.mos_vth, plan.mos_beta,
-                    plan.mos_n, plan.mos_lam, delta_vth=delta, xp=np,
+                    plan.mos_n, plan.mos_lam, delta_vth=delta,
                 )
                 bufs[_SRC_IDS] = ids
                 bufs[_SRC_DVG] = d_dvg

@@ -12,10 +12,9 @@ interesting behaviour is which basin the state settles into, not waveform
 micro-detail, and BE never oscillates into the wrong one.
 
 The engine shares the DC solver's two execution strategies: the compiled
-stamping path of :mod:`repro.circuit.stamping` (numpy, bit-identical,
-default) with the clamp rows rewritten in place as the sources move, and
-the generic per-element walk for custom elements or alternate array-API
-backends (``backend=`` / ``REPRO_BACKEND``, float64 tolerance contract).
+stamping path of :mod:`repro.circuit.stamping` (bit-identical, default)
+with the clamp rows rewritten in place as the sources move, and the generic
+per-element walk for custom elements.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.backend import (
-    array_namespace,
-    get_namespace,
-    is_numpy_namespace,
-    take_along_axis,
-)
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.stamping import compile_plan
 
@@ -67,26 +60,23 @@ class TransientResult:
         Linear interpolation between steps; vectorised over the batch.
         """
         wave = self.waveform(node)
-        xp = array_namespace(wave)
-        time = xp.asarray(self.time, dtype=xp.float64)
+        time = np.asarray(self.time, dtype=np.float64)
         above = wave >= level
         if rising:
             hits = (~above[:-1]) & above[1:]
         else:
             hits = above[:-1] & (~above[1:])
-        idx = xp.argmax(xp.astype(hits, xp.int64) if hasattr(xp, "astype")
-                        else hits.astype(np.int64), axis=0)
-        any_hit = xp.any(hits, axis=0)
+        idx = np.argmax(hits.astype(np.int64), axis=0)
+        any_hit = np.any(hits, axis=0)
         t0 = time[idx]
         t1 = time[idx + 1]
-        v0 = take_along_axis(xp, wave, idx[None, ...], axis=0)[0]
-        v1 = take_along_axis(xp, wave, (idx + 1)[None, ...], axis=0)[0]
+        v0 = np.take_along_axis(wave, idx[None, ...], axis=0)[0]
+        v1 = np.take_along_axis(wave, (idx + 1)[None, ...], axis=0)[0]
         dv = v1 - v0
-        frac = xp.where(xp.abs(dv) > 0,
-                        (level - v0) / xp.where(dv != 0, dv, xp.asarray(1.0)),
-                        xp.asarray(0.0))
-        crossing = t0 + xp.clip(frac, 0.0, 1.0) * (t1 - t0)
-        return xp.where(any_hit, crossing, xp.asarray(float("nan")))
+        frac = np.where(np.abs(dv) > 0,
+                        (level - v0) / np.where(dv != 0, dv, 1.0), 0.0)
+        crossing = t0 + np.clip(frac, 0.0, 1.0) * (t1 - t0)
+        return np.where(any_hit, crossing, np.nan)
 
 
 def simulate_transient(
@@ -101,7 +91,6 @@ def simulate_transient(
     current_tol: float = 1e-10,
     settle_tol: Optional[float] = None,
     settle_after: float = 0.0,
-    backend=None,
     compiled: Optional[bool] = None,
 ) -> TransientResult:
     """Integrate the circuit from t = 0 to ``t_stop`` with step ``dt``.
@@ -131,17 +120,13 @@ def simulate_transient(
         the last source event has happened (e.g. the wordline step time);
         successive source samples are additionally checked for equality as
         a safety net.
-    backend:
-        ``None`` (environment default), a backend name, or an array-API
-        namespace object — as in :func:`repro.circuit.dc_solver.solve_dc`.
     compiled:
-        ``None`` auto-selects the compiled stamping path on numpy,
-        ``False`` forces the generic walk, ``True`` requires compilation.
+        ``None`` auto-selects the compiled stamping path when it supports
+        the circuit, ``False`` forces the generic walk, ``True`` requires
+        compilation.
     """
     if dt <= 0 or t_stop <= 0:
         raise ValueError("dt and t_stop must be positive")
-    xp = get_namespace(backend)
-    is_numpy = is_numpy_namespace(xp)
     element_params = {k: dict(v) for k, v in (element_params or {}).items()}
     for name in element_params:
         circuit.element(name)
@@ -170,13 +155,12 @@ def simulate_transient(
 
     def flat(value):
         """Flatten to the ``(n_batch,)`` axis; scalars stay zero-copy views."""
-        arr = xp.asarray(value, dtype=xp.float64)
-        shape = tuple(arr.shape)
-        if shape == batch_shape:
-            return xp.reshape(arr, (n_batch,))
-        if shape == ():
-            return xp.broadcast_to(arr, (n_batch,))
-        return xp.reshape(xp.broadcast_to(arr, batch_shape), (n_batch,))
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape == batch_shape:
+            return arr.reshape(n_batch)
+        if arr.shape == ():
+            return np.broadcast_to(arr, (n_batch,))
+        return np.broadcast_to(arr, batch_shape).reshape(n_batch)
 
     params_flat = {
         name: {k: flat(v) for k, v in kw.items()}
@@ -187,14 +171,12 @@ def simulate_transient(
     )
     if np.any(cap <= 0):
         raise ValueError("capacitances must be positive")
-    g_cap = xp.asarray(cap / dt)  # backward-Euler companion conductance
+    g_cap = cap / dt  # backward-Euler companion conductance
 
     # ------------------------------------------------- evaluator selection
-    if compiled is True and not is_numpy:
-        raise ValueError("compiled stamping requires the numpy backend")
     clamp_names = [GROUND] + list(sources)
     plan = None
-    if is_numpy and compiled is not False and n_free:
+    if compiled is not False and n_free:
         plan = compile_plan(circuit, free_index, clamp_names, element_params)
         if plan is None and compiled is True:
             raise ValueError(
@@ -209,9 +191,9 @@ def simulate_transient(
     ]
 
     def kcl_generic(v_free, clamp_now):
-        f = xp.zeros((n_batch, n_free), dtype=xp.float64)
-        jac = xp.zeros((n_batch, n_free, n_free), dtype=xp.float64)
-        node_v = {GROUND: xp.zeros(n_batch, dtype=xp.float64)}
+        f = np.zeros((n_batch, n_free), dtype=np.float64)
+        jac = np.zeros((n_batch, n_free, n_free), dtype=np.float64)
+        node_v = {GROUND: np.zeros(n_batch, dtype=np.float64)}
         node_v.update(clamp_now)
         for node, idx in free_index.items():
             node_v[node] = v_free[:, idx]
@@ -245,14 +227,14 @@ def simulate_transient(
     n_steps = int(np.ceil(t_stop / dt))
     time = np.linspace(0.0, n_steps * dt, n_steps + 1)
 
-    v = xp.zeros((n_batch, n_free), dtype=xp.float64)
+    v = np.zeros((n_batch, n_free), dtype=np.float64)
     for node, value in (initial or {}).items():
         if node in free_index:
             v[:, free_index[node]] = flat(value)
 
-    waves = {n: xp.zeros((n_steps + 1, n_batch), dtype=xp.float64)
+    waves = {n: np.zeros((n_steps + 1, n_batch), dtype=np.float64)
              for n in all_nodes}
-    converged_all = xp.ones(n_batch, dtype=xp.bool)
+    converged_all = np.ones(n_batch, dtype=bool)
 
     def record(step, clamp_now):
         for node, idx in free_index.items():
@@ -263,7 +245,7 @@ def simulate_transient(
     clamp_now = {n: flat(waveform_value(w, 0.0)) for n, w in sources.items()}
     record(0, clamp_now)
 
-    diag = xp.arange(n_free)
+    diag = np.arange(n_free)
     settled_streak = 0
     for step in range(1, n_steps + 1):
         t = time[step]
@@ -273,18 +255,18 @@ def simulate_transient(
             workspace.update_clamps(clamp_now)
         v_prev = v
         # Newton on: KCL(v) + C (v - v_prev) / dt = 0
-        ok = xp.zeros(n_batch, dtype=xp.bool)
+        ok = np.zeros(n_batch, dtype=bool)
         for _ in range(max_newton):
             f, jac = kcl(v, clamp_now)
             f = f + (v - v_prev) * g_cap
             jac[:, diag, diag] += g_cap
-            err = (xp.max(xp.abs(f), axis=1) if n_free
-                   else xp.zeros(n_batch, dtype=xp.float64))
+            err = (np.max(np.abs(f), axis=1) if n_free
+                   else np.zeros(n_batch, dtype=np.float64))
             ok = err < current_tol
-            if bool(xp.all(ok)):
+            if ok.all():
                 break
-            dv = xp.linalg.solve(jac, -f[..., None])[..., 0]
-            dv = xp.clip(dv, -0.3, 0.3)
+            dv = np.linalg.solve(jac, -f[..., None])[..., 0]
+            dv = np.clip(dv, -0.3, 0.3)
             dv[ok] = 0.0
             v = v + dv
         converged_all &= ok
@@ -292,9 +274,9 @@ def simulate_transient(
 
         if settle_tol is not None and t > settle_after:
             sources_static = all(
-                bool(xp.all(clamp_now[n] == clamp_prev[n])) for n in clamp_now
+                bool(np.all(clamp_now[n] == clamp_prev[n])) for n in clamp_now
             )
-            moved = float(xp.max(xp.abs(v - v_prev))) if n_free else 0.0
+            moved = float(np.max(np.abs(v - v_prev))) if n_free else 0.0
             if sources_static and moved < settle_tol:
                 settled_streak += 1
                 if settled_streak >= 3:
@@ -310,16 +292,13 @@ def simulate_transient(
 
     def unflatten(arr):
         if batch_shape:
-            return xp.reshape(arr, (n_steps + 1,) + batch_shape)
+            return arr.reshape((n_steps + 1,) + batch_shape)
         return arr[:, 0]
 
     return TransientResult(
         time=time,
         voltages={n: unflatten(w) for n, w in waves.items()},
-        converged=(
-            xp.reshape(converged_all, batch_shape) if batch_shape
-            else xp.reshape(converged_all, ())
-        ),
+        converged=converged_all.reshape(batch_shape),
     )
 
 

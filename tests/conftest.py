@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_namespace
 from repro.sram import SixTransistorCell
 from repro.sram.metrics import (
     ReadCurrentMetric,
@@ -23,17 +22,6 @@ from repro.sram.problems import fragile_cell
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-@pytest.fixture(params=available_backends())
-def backend_xp(request):
-    """Array namespace of every backend installed on this machine.
-
-    Parametrizes over ``numpy`` plus whichever of torch/cupy import
-    successfully, so backend-generic kernel tests run against everything
-    available and silently narrow to numpy-only elsewhere.
-    """
-    return get_namespace(request.param)
 
 
 @pytest.fixture(scope="session")

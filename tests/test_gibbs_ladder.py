@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.backend import available_backends
 from repro.circuit import SolverStateCarrier, solve_dc, use_carrier
 from repro.gibbs.bounds import (
     batched_failure_interval,
@@ -384,9 +383,8 @@ class TestDcSolverWarmStart:
 
 
 class TestMetricWarmTolerance:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_seeded_metric_matches_cold(self, cell, backend):
-        metric = ReadNoiseMarginMetric(cell, backend=backend)
+    def test_seeded_metric_matches_cold(self, cell):
+        metric = ReadNoiseMarginMetric(cell)
         rng = np.random.default_rng(11)
         deltas = rng.normal(0.0, 0.05, (16, metric.dimension))
         cold = metric.evaluate(deltas)
