@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks._shared import write_report
 from repro.analysis.tables import format_table
-from repro.gibbs.inverse_transform import sample_conditional_1d
+from repro.gibbs.inverse_transform import sample_conditional_batch
 from repro.gibbs.spherical import SphericalGibbs
 from repro.mc.indicator import FailureSpec
 from repro.stats.distributions import StandardNormal
@@ -29,12 +29,14 @@ def conditional_arc_samples(alpha_2: float, n: int = 100, seed: int = 3):
     points = []
     for _ in range(n):
         alpha = np.array([1.0, alpha_2])  # failing anchor (first quadrant)
-        fails = sampler._orientation_indicator(r, alpha, 0)
-        a1, _ = sample_conditional_1d(
-            fails, current=1.0, base=StandardNormal(),
-            lo=-8.0, hi=8.0, rng=rng, bisect_iters=10,
+        fails = sampler._orientation_indicator_lockstep(
+            np.array([r]), alpha[np.newaxis, :], 0
         )
-        alpha[0] = a1
+        a1, _ = sample_conditional_batch(
+            fails, current=np.array([1.0]), base=StandardNormal(),
+            lo=-8.0, hi=8.0, rng=[rng], bisect_iters=10,
+        )
+        alpha[0] = a1[0]
         points.append(r * alpha / np.linalg.norm(alpha))
     return np.asarray(points)
 

@@ -75,7 +75,10 @@ def run():
         starts = np.tile(start.x, (n_chains, 1))
         chain, elapsed, sims, calls = _measure(
             lambda: sampler.run_lockstep(
-                starts, n_gibbs, np.random.default_rng(7)
+                starts, n_gibbs,
+                chain_rngs=[
+                    np.random.default_rng(7 + c) for c in range(n_chains)
+                ],
             ),
             counted,
         )

@@ -9,10 +9,9 @@ reproduces the Table-I question — how many second-stage simulations until
 the 99%-CI relative error stays below a target.
 
 Panels and trial batteries are embarrassingly parallel — every entry owns
-its spawn-indexed child stream — so both fan out across cores through
-:class:`repro.parallel.ParallelExecutor` when ``n_workers`` is given.  The
-streams are the same ones the serial loop would use, so parallel panels
-return bit-identical results to serial ones.
+its spawn-indexed child stream — so both run through
+:class:`repro.parallel.ParallelExecutor`: inline by default, across cores
+when ``n_workers`` is given, with bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.mc.montecarlo import brute_force_monte_carlo
 from repro.mc.results import EstimationResult
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.telemetry import context as _telemetry
-from repro.utils.rng import SeedLike, spawn_rngs, spawn_seed_sequences
+from repro.utils.rng import SeedLike, spawn_seed_sequences
 
 #: Canonical method labels, in the paper's presentation order.
 METHODS = ("MIS", "MNIS", "G-C", "G-S")
@@ -72,9 +71,9 @@ def run_method(
         Uniform exploration budget for MIS.
     n_workers:
         Shard the method's sampling stage (the second stage for the IS
-        methods, both stages for the Gibbs methods when ``n_chains > 1``,
-        the whole run for "MC") across this many workers on ``backend``;
-        ``None`` keeps the serial paths.
+        methods, both stages for the Gibbs methods, the whole run for
+        "MC") across this many workers on ``backend``; ``None`` runs the
+        same shards inline.
     executor:
         Prebuilt :class:`~repro.parallel.ParallelExecutor` (e.g. the
         yield service's persistent pool); overrides
@@ -183,26 +182,19 @@ def compare_methods(
 
     Each method receives its own child generator spawned from ``seed``, so
     adding or removing a method never perturbs the others' draws.  With
-    ``n_workers`` set, the panel entries run concurrently — on the exact
-    streams the serial loop would use, so the results are identical; only
-    the wall-clock changes.
+    ``n_workers`` set, the panel entries run concurrently on the same
+    streams, so the results are identical; only the wall-clock changes.
     """
     pool = resolve_executor(executor, n_workers, backend)
-    if pool is not None:
-        seeds = spawn_seed_sequences(seed, len(methods))
-        ship_telemetry = _telemetry.ship_to_workers(pool)
-        tasks = [
-            _MethodTask(name, problem, child, dict(run_kwargs), ship_telemetry)
-            for name, child in zip(methods, seeds)
-        ]
-        outcomes = pool.map(_run_method_task, tasks)
-        _fold_panel_telemetry(pool, outcomes)
-        return dict(zip(methods, outcomes))
-    rngs = spawn_rngs(seed, len(methods))
-    results = {}
-    for method, rng in zip(methods, rngs):
-        results[method] = run_method(method, problem, rng=rng, **run_kwargs)
-    return results
+    seeds = spawn_seed_sequences(seed, len(methods))
+    ship_telemetry = _telemetry.ship_to_workers(pool)
+    tasks = [
+        _MethodTask(name, problem, child, dict(run_kwargs), ship_telemetry)
+        for name, child in zip(methods, seeds)
+    ]
+    outcomes = pool.map(_run_method_task, tasks)
+    _fold_panel_telemetry(pool, outcomes)
+    return dict(zip(methods, outcomes))
 
 
 def run_trials(
@@ -225,22 +217,14 @@ def run_trials(
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     pool = resolve_executor(executor, n_workers, backend)
-    seeds = spawn_seed_sequences(seed, n_trials)
-    if pool is not None:
-        ship_telemetry = _telemetry.ship_to_workers(pool)
-        tasks = [
-            _MethodTask(method, problem, child, dict(run_kwargs), ship_telemetry)
-            for child in seeds
-        ]
-        outcomes = pool.map(_run_method_task, tasks)
-        _fold_panel_telemetry(pool, outcomes)
-        return outcomes
-    return [
-        run_method(
-            method, problem, rng=np.random.default_rng(child), **run_kwargs
-        )
-        for child in seeds
+    ship_telemetry = _telemetry.ship_to_workers(pool)
+    tasks = [
+        _MethodTask(method, problem, child, dict(run_kwargs), ship_telemetry)
+        for child in spawn_seed_sequences(seed, n_trials)
     ]
+    outcomes = pool.map(_run_method_task, tasks)
+    _fold_panel_telemetry(pool, outcomes)
+    return outcomes
 
 
 ResultOrTrials = Union[EstimationResult, Sequence[EstimationResult]]

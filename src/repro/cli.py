@@ -121,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "only); results shift within solver "
                             "tolerance (see DESIGN.md)")
         p.add_argument("--workers", type=int, default=None,
-                       help="shard the sampling across this many worker "
-                            "processes (default: serial): the second "
-                            "stage always, and the first-stage chains "
-                            "when --n-chains > 1; results depend on the "
-                            "seed only, not the worker count")
+                       help="run the sampling shards on this many worker "
+                            "processes (default: one, inline): the "
+                            "first-stage chain groups and the second-stage "
+                            "shards; results depend on the seed only, not "
+                            "the worker count")
         p.add_argument("--shard-size", type=int, default=None,
-                       help="samples per shard on the sharded path "
+                       help="samples per shard "
                             "(default: per-method; the shard grid is part "
                             "of the run identity, so a ledger resume must "
                             "reuse the original value)")
@@ -145,10 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "logged at startup)")
         p.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                        help="persist completed shards to append-only "
-                            "ledgers in DIR (sharded path only); a killed "
-                            "run re-invoked with the same arguments "
-                            "resumes bit-identically, re-running only the "
-                            "missing shards (see docs/ELASTIC.md)")
+                            "ledgers in DIR; a killed run re-invoked with "
+                            "the same arguments resumes bit-identically, "
+                            "re-running only the missing shards (see "
+                            "docs/ELASTIC.md)")
         p.add_argument("--resume", default=True,
                        action=argparse.BooleanOptionalAction,
                        help="with --checkpoint-dir: replay a matching "
@@ -156,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "and starts over")
         p.add_argument("--adaptive-shards", action="store_true",
                        help="size shards and chain groups from a "
-                            "metric-throughput probe (requires --workers); "
-                            "the probe numbers and chosen grid are "
-                            "recorded in the result extras")
+                            "metric-throughput probe; the probe numbers "
+                            "and chosen grid are recorded in the result "
+                            "extras")
         p.add_argument("--verbose", action="store_true",
                        help="print chain diagnostics, the adaptive sizing "
                             "record and the telemetry summary (stderr)")
@@ -331,16 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _adaptive_kwargs(args, method: str) -> Optional[dict]:
-    """Resolve ``--adaptive-shards`` into method kwargs (None on error)."""
+def _adaptive_kwargs(args, method: str) -> dict:
+    """Resolve ``--adaptive-shards`` into method kwargs."""
     if not args.adaptive_shards:
         return {}
-    if args.workers is None:
-        logs.error(
-            "--adaptive-shards tunes the parallel fan-out; "
-            "it requires --workers"
-        )
-        return None
     if method in ("G-C", "G-S"):
         return {"chain_group_size": "adaptive", "shard_size": "adaptive"}
     logs.warning(
@@ -494,8 +488,6 @@ def _cmd_estimate(args) -> int:
     problem = PROBLEMS[args.problem]()
     logs.info(f"problem: {problem.description}")
     adaptive = _adaptive_kwargs(args, args.method)
-    if adaptive is None:
-        return 2
     first_stage = _first_stage_kwargs(args, args.method)
     elastic = {}
     if args.shard_size is not None:
@@ -504,12 +496,6 @@ def _cmd_estimate(args) -> int:
             return 2
         elastic["shard_size"] = args.shard_size
     if args.checkpoint_dir is not None:
-        if args.workers is None and args.backend != "remote":
-            logs.error(
-                "--checkpoint-dir persists the sharded path's shards; "
-                "it requires --workers (or --backend remote)"
-            )
-            return 2
         elastic.update(checkpoint_dir=args.checkpoint_dir,
                        resume=args.resume)
     pool = None

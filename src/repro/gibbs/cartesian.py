@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.circuit import warm as _warm
-from repro.gibbs.inverse_transform import (
-    sample_conditional_1d,
-    sample_conditional_batch,
-)
+from repro.gibbs.inverse_transform import sample_conditional_batch
 from repro.mc.indicator import FailureSpec
 from repro.stats.distributions import StandardNormal
 from repro.utils.rng import SeedLike, ensure_rng
@@ -65,7 +62,7 @@ class MultiChainGibbs:
     samples:
         ``(C, K, M)`` Cartesian sample tensor: ``C`` chains advanced
         synchronously, each contributing ``K`` samples (one per coordinate
-        update, as in the sequential sampler).
+        update).
     n_simulations:
         Total transistor-level simulations across all chains — batching
         changes how simulations are *issued*, never how many are charged.
@@ -174,21 +171,6 @@ class CartesianGibbs:
             return _warm.use_carrier(_warm.SolverStateCarrier())
         return contextlib.nullcontext()
 
-    def _coordinate_indicator(self, x: np.ndarray, m: int):
-        """Vectorised failure indicator along coordinate ``m`` through ``x``."""
-        hint = self.solver_warm_start
-
-        def fails(values: np.ndarray) -> np.ndarray:
-            values = np.atleast_1d(values)
-            points = np.tile(x, (values.size, 1))
-            points[:, m] = values
-            if hint:
-                # Sequential sampler: every row belongs to the one chain.
-                _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
-            return self.spec.indicator(self.metric(points))
-
-        return fails
-
     def _coordinate_indicator_lockstep(self, states: np.ndarray, m: int):
         """Batched indicator along coordinate ``m`` of per-chain states.
 
@@ -218,59 +200,25 @@ class CartesianGibbs:
         ``x0`` must lie in the failure region (Algorithm 4 provides it);
         with ``verify_start`` one simulation confirms this and a
         ``ValueError`` is raised otherwise — a cheap guard against a bad
-        surrogate optimum silently poisoning the whole chain.
+        surrogate optimum silently poisoning the whole chain.  This is the
+        one-chain case of :meth:`run_lockstep`.
         """
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        rng = ensure_rng(rng)
-        x = np.asarray(x0, dtype=float).reshape(-1).copy()
+        x = np.asarray(x0, dtype=float).reshape(-1)
         if x.size != self.dimension:
             raise ValueError(
                 f"starting point has dimension {x.size}, expected {self.dimension}"
             )
-        n_sims = 0
-        samples = np.empty((n_samples, self.dimension))
-        widths: List[float] = []
-        with self._warm_scope():
-            if verify_start:
-                if self.solver_warm_start:
-                    _warm.set_lanes(np.zeros(1, dtype=np.intp))
-                failing = bool(
-                    self.spec.indicator(self.metric(x[np.newaxis, :]))[0]
-                )
-                n_sims += 1
-                if not failing:
-                    raise ValueError("starting point is not in the failure region")
-
-            k = 0
-            m = 0
-            while k < n_samples:
-                fails = self._coordinate_indicator(x, m)
-                new_value, interval = sample_conditional_1d(
-                    fails,
-                    current=float(x[m]),
-                    base=self._normal,
-                    lo=-self.zeta,
-                    hi=self.zeta,
-                    rng=rng,
-                    bisect_iters=self.bisect_iters,
-                    ladder_width=self.ladder_width,
-                )
-                n_sims += interval.n_simulations
-                widths.append(interval.width)
-                x[m] = new_value
-                samples[k] = x
-                k += 1
-                m = (m + 1) % self.dimension
-        return GibbsChain(samples=samples, n_simulations=n_sims, interval_widths=widths)
+        return self.run_lockstep(
+            x, n_samples,
+            chain_rngs=[ensure_rng(rng)], verify_start=verify_start,
+        ).chain(0)
 
     def run_lockstep(
         self,
         x0: np.ndarray,
         n_samples: int,
-        rng: SeedLike = None,
+        chain_rngs: Sequence[SeedLike],
         verify_start: bool = True,
-        chain_rngs: Optional[list] = None,
     ) -> MultiChainGibbs:
         """Advance ``C`` chains synchronously for ``n_samples`` updates each.
 
@@ -281,17 +229,14 @@ class CartesianGibbs:
         inverse-transform draw is one vectorised truncated-CDF evaluation,
         so the per-sample wall-clock cost shrinks roughly with ``C`` on a
         vectorised simulator while the simulation *count* stays exactly the
-        sum of ``C`` sequential chains.
+        sum of ``C`` single-chain runs.
 
-        With ``C = 1`` the generated chain is bit-for-bit identical to
-        :meth:`run` under the same seed.
-
-        ``chain_rngs`` gives every chain its own generator instead of the
-        shared ``rng``.  Chain trajectories then depend only on their own
-        stream and starting point — not on which other chains share the
-        batch — so splitting the same chains (with the same streams) across
-        several lockstep calls reproduces identical trajectories.  This is
-        the contract the process-parallel first-stage fan-out builds on.
+        ``chain_rngs`` gives every chain its own generator.  Chain
+        trajectories depend only on their own stream and starting point —
+        not on which other chains share the batch — so splitting the same
+        chains (with the same streams) across several lockstep calls
+        reproduces identical trajectories.  This is the contract the
+        first-stage fan-out builds on.
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -302,15 +247,12 @@ class CartesianGibbs:
                 f"(n_chains, {self.dimension})"
             )
         n_chains = states.shape[0]
-        if chain_rngs is not None:
-            if len(chain_rngs) != n_chains:
-                raise ValueError(
-                    f"chain_rngs has {len(chain_rngs)} generators for "
-                    f"{n_chains} chains"
-                )
-            draw_rng = [ensure_rng(r) for r in chain_rngs]
-        else:
-            draw_rng = ensure_rng(rng)
+        if len(chain_rngs) != n_chains:
+            raise ValueError(
+                f"chain_rngs has {len(chain_rngs)} generators for "
+                f"{n_chains} chains"
+            )
+        draw_rng = [ensure_rng(r) for r in chain_rngs]
         per_chain = np.zeros(n_chains, dtype=int)
         samples = np.empty((n_chains, n_samples, self.dimension))
         widths = np.empty((n_chains, n_samples))

@@ -11,7 +11,7 @@ are all "base law restricted to the failure slice", so one draw is
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +19,7 @@ from repro.gibbs.bounds import (
     BatchedFailureIntervals,
     FailureInterval,
     batched_failure_interval,
-    failure_interval,
 )
-from repro.stats.truncated import TruncatedDistribution
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -41,25 +39,30 @@ def sample_conditional_1d(
     ``alpha_m``, Chi(M) for ``r``).  Returns the new coordinate value and
     the searched interval (whose ``n_simulations`` the caller accumulates).
 
-    Degenerate guard: if the verified interval has collapsed to (numerical)
-    zero width — possible when the failure slice is narrower than the
-    bisection resolution — the current value is kept, costing the search
-    simulations but moving nothing, which mirrors how a SPICE-driven
-    implementation would behave.
+    A thin adapter over :func:`sample_conditional_batch` with a single
+    chain, so the degenerate guards live in one place: if the verified
+    interval has collapsed to (numerical) zero width — possible when the
+    failure slice is narrower than the search resolution — or carries no
+    probability mass at CDF resolution, the current value is kept, costing
+    the search simulations but moving nothing, which mirrors how a
+    SPICE-driven implementation would behave.
     """
-    rng = ensure_rng(rng)
-    interval = failure_interval(
-        fails, current, lo, hi, bisect_iters, ladder_width=ladder_width
+    new_values, batched = sample_conditional_batch(
+        lambda chain_idx, values: fails(values),
+        np.array([current], dtype=float),
+        base,
+        lo,
+        hi,
+        rng=[ensure_rng(rng)],
+        bisect_iters=bisect_iters,
+        ladder_width=ladder_width,
     )
-    if not interval.lower < interval.upper:
-        return float(current), interval
-    try:
-        trunc = TruncatedDistribution(base, interval.lower, interval.upper)
-    except ValueError:
-        # Zero probability mass at the resolution of the CDF (deep tail):
-        # keep the current value rather than fabricating a draw.
-        return float(current), interval
-    return float(trunc.sample(rng)), interval
+    interval = FailureInterval(
+        lower=float(batched.lower[0]),
+        upper=float(batched.upper[0]),
+        n_simulations=int(batched.n_simulations),
+    )
+    return float(new_values[0]), interval
 
 
 def sample_conditional_batch(
@@ -68,43 +71,34 @@ def sample_conditional_batch(
     base,
     lo: float,
     hi: float,
-    rng: SeedLike = None,
+    rng: Sequence[SeedLike],
     bisect_iters: int = 5,
     ladder_width: int = 1,
 ) -> Tuple[np.ndarray, BatchedFailureIntervals]:
     """Draw one value per lockstep chain from its 1-D Gibbs conditional.
 
-    The vectorised counterpart of :func:`sample_conditional_1d`: the
-    interval search batches every chain's bisection queries into one
+    The interval search batches every chain's bisection queries into one
     simulator call per step (see
     :func:`~repro.gibbs.bounds.batched_failure_interval`), and the
-    inverse-transform draw is one truncated-CDF evaluation across all
-    chains.  Per-chain degenerate guards mirror the scalar path exactly —
-    a chain whose verified interval collapsed, or whose interval carries no
-    probability mass at CDF resolution, keeps its current value *and
-    consumes no random draw*, so a single-chain lockstep run is bit-for-bit
-    identical to the sequential sampler under the same rng.
+    inverse-transform draw evaluates the truncated CDF across all chains at
+    once.  A chain whose verified interval collapsed, or whose interval
+    carries no probability mass at CDF resolution, keeps its current value
+    and consumes no random draw.
 
-    ``rng`` may also be a *sequence* of generators, one per chain.  Each
-    chain's inverse-transform uniform then comes from its own stream (and
-    a chain that draws nothing consumes nothing from it), which decouples
-    the chains completely: a chain's trajectory becomes a function of its
-    own stream and starting point only, independent of how many chains
-    share the lockstep batch.  This is the mode the process-parallel
-    first-stage fan-out relies on — any grouping of chains into lockstep
-    calls reproduces the same per-chain trajectories bit for bit.
+    ``rng`` is a sequence of generators, one per chain.  Each chain's
+    inverse-transform uniform comes from its own stream (and a chain that
+    draws nothing consumes nothing from it), so a chain's trajectory is a
+    function of its own stream and starting point only, independent of how
+    many chains share the lockstep batch.  The first-stage fan-out relies
+    on this: any grouping of chains into lockstep calls reproduces the same
+    per-chain trajectories bit for bit.
     """
     current = np.asarray(current, dtype=float).reshape(-1)
-    per_chain_rngs = None
-    if isinstance(rng, (list, tuple)):
-        if len(rng) != current.size:
-            raise ValueError(
-                f"got {len(rng)} per-chain generators for {current.size} "
-                "chains"
-            )
-        per_chain_rngs = [ensure_rng(r) for r in rng]
-    else:
-        rng = ensure_rng(rng)
+    if len(rng) != current.size:
+        raise ValueError(
+            f"got {len(rng)} per-chain generators for {current.size} chains"
+        )
+    chain_rngs = [ensure_rng(r) for r in rng]
     intervals = batched_failure_interval(
         fails, current, lo, hi, bisect_iters, ladder_width=ladder_width
     )
@@ -121,15 +115,12 @@ def sample_conditional_batch(
         positive = mass > 0.0
         if positive.any():
             draw_idx = np.flatnonzero(valid)[positive]
-            if per_chain_rngs is None:
-                u = rng.uniform(cdf_lo[positive], cdf_hi[positive])
-            else:
-                u = np.array([
-                    per_chain_rngs[c].uniform(a, b)
-                    for c, a, b in zip(
-                        draw_idx, cdf_lo[positive], cdf_hi[positive]
-                    )
-                ])
+            u = np.array([
+                chain_rngs[c].uniform(a, b)
+                for c, a, b in zip(
+                    draw_idx, cdf_lo[positive], cdf_hi[positive]
+                )
+            ])
             draw = np.asarray(base.ppf(u), dtype=float)
             new_values[draw_idx] = np.clip(
                 draw, lower[draw_idx], upper[draw_idx]

@@ -17,16 +17,13 @@ coordinates (Algorithm 5 step 3).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.circuit import warm as _warm
 from repro.gibbs.cartesian import GibbsChain, MultiChainGibbs
-from repro.gibbs.inverse_transform import (
-    sample_conditional_1d,
-    sample_conditional_batch,
-)
+from repro.gibbs.inverse_transform import sample_conditional_batch
 from repro.mc.indicator import FailureSpec
 from repro.stats.distributions import ChiDistribution, StandardNormal
 from repro.utils.rng import SeedLike, ensure_rng
@@ -126,30 +123,10 @@ class SphericalGibbs:
 
     # ------------------------------------------------------------ helpers
     @staticmethod
-    def _unit(alpha: np.ndarray) -> np.ndarray:
-        norm = float(np.linalg.norm(alpha))
-        if norm < 1e-300:
-            raise ValueError("orientation vector collapsed to zero length")
-        return alpha / norm
-
-    def _radius_indicator(self, alpha: np.ndarray):
-        unit = self._unit(alpha)
-        hint = self.solver_warm_start
-
-        def fails(values: np.ndarray) -> np.ndarray:
-            values = np.atleast_1d(values)
-            points = values[:, np.newaxis] * unit[np.newaxis, :]
-            if hint:
-                _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
-            return self.spec.indicator(self.metric(points))
-
-        return fails
-
-    @staticmethod
     def _unit_rows(alpha: np.ndarray) -> np.ndarray:
         # Row-wise 1-D norms rather than a single axis=1 reduction: the two
-        # differ in the last ulp (BLAS dot vs ufunc reduce), and lockstep
-        # runs promise bit-identical trajectories to the sequential path.
+        # differ in the last ulp (BLAS dot vs ufunc reduce), and the 1-D
+        # form keeps seeded chains reproducible across releases.
         norms = np.array([float(np.linalg.norm(row)) for row in alpha])
         if np.any(norms < 1e-300):
             raise ValueError("orientation vector collapsed to zero length")
@@ -177,9 +154,9 @@ class SphericalGibbs:
             candidates = alpha[chain_idx]
             candidates[:, m] = values
             norms = np.linalg.norm(candidates, axis=1)
-            # Mirrors the scalar indicator: a zero-length candidate has no
-            # direction and cannot be a failure sample, and is never sent
-            # to the simulator.
+            # A zero-length candidate has no direction and cannot be a
+            # failure sample (a measure-zero event deep inside the passing
+            # bulk); it is never sent to the simulator.
             safe = norms > 1e-300
             out = np.zeros(values.size, dtype=bool)
             if safe.any():
@@ -187,35 +164,13 @@ class SphericalGibbs:
                     # Only the safe rows reach the metric, so the lane tag
                     # must cover exactly those rows.
                     _warm.set_lanes(chain_idx[safe])
-                # Same operation order as the scalar indicator so a C=1
-                # lockstep run stays bit-identical to the sequential path.
+                # Multiply before dividing: like the norms above, the
+                # operation order keeps seeded chains reproducible.
                 points = (
                     r[chain_idx][safe, np.newaxis] * candidates[safe]
                     / norms[safe, np.newaxis]
                 )
                 out[safe] = self.spec.indicator(self.metric(points))
-            return out
-
-        return fails
-
-    def _orientation_indicator(self, r: float, alpha: np.ndarray, m: int):
-        hint = self.solver_warm_start
-
-        def fails(values: np.ndarray) -> np.ndarray:
-            values = np.atleast_1d(values)
-            candidates = np.tile(alpha, (values.size, 1))
-            candidates[:, m] = values
-            norms = np.linalg.norm(candidates, axis=1)
-            # A candidate alpha of zero length has no direction; it cannot
-            # be a failure sample (measure-zero event, deep inside the
-            # passing bulk for any rare-failure problem anyway).
-            safe = norms > 1e-300
-            points = np.zeros_like(candidates)
-            points[safe] = r * candidates[safe] / norms[safe, np.newaxis]
-            out = np.zeros(values.size, dtype=bool)
-            if hint:
-                _warm.set_lanes(np.zeros(int(safe.sum()), dtype=np.intp))
-            out[safe] = self.spec.indicator(self.metric(points[safe]))
             return out
 
         return fails
@@ -233,78 +188,26 @@ class SphericalGibbs:
 
         ``(r0, alpha0)`` come from Algorithm 4 via
         :func:`repro.gibbs.coordinates.initial_spherical_coordinates`.
-        Samples are returned in Cartesian coordinates.
+        Samples are returned in Cartesian coordinates.  This is the
+        one-chain case of :meth:`run_lockstep`.
         """
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        rng = ensure_rng(rng)
-        alpha = np.asarray(alpha0, dtype=float).reshape(-1).copy()
+        alpha = np.asarray(alpha0, dtype=float).reshape(-1)
         if alpha.size != self.dimension:
             raise ValueError(
                 f"alpha0 has dimension {alpha.size}, expected {self.dimension}"
             )
-        r = float(r0)
-        if not 0.0 < r <= self.r_max:
-            raise ValueError(f"r0 must be in (0, {self.r_max}], got {r}")
-
-        n_sims = 0
-        scale = float(np.sqrt(self.dimension))
-        samples = np.empty((n_samples, self.dimension))
-        widths: List[float] = []
-        with self._warm_scope():
-            if verify_start:
-                x_start = r * self._unit(alpha)
-                if self.solver_warm_start:
-                    _warm.set_lanes(np.zeros(1, dtype=np.intp))
-                failing = bool(
-                    self.spec.indicator(self.metric(x_start[np.newaxis, :]))[0]
-                )
-                n_sims += 1
-                if not failing:
-                    raise ValueError("starting point is not in the failure region")
-
-            k = 0
-            coord = 0  # 0 = radius, 1..M = orientation components
-            while k < n_samples:
-                if coord == 0:
-                    if self.normalize_each_sweep:
-                        # Scale redundancy of Eq. (11): x is unchanged, but
-                        # the orientation slices regain search-visible width.
-                        alpha = scale * self._unit(alpha)
-                    fails = self._radius_indicator(alpha)
-                    new_r, interval = sample_conditional_1d(
-                        fails, current=r, base=self._chi,
-                        lo=1e-9, hi=self.r_max, rng=rng,
-                        bisect_iters=self.bisect_iters,
-                        ladder_width=self.ladder_width,
-                    )
-                    r = new_r
-                else:
-                    m = coord - 1
-                    current = float(np.clip(alpha[m], -self.zeta, self.zeta))
-                    fails = self._orientation_indicator(r, alpha, m)
-                    new_alpha_m, interval = sample_conditional_1d(
-                        fails, current=current, base=self._normal,
-                        lo=-self.zeta, hi=self.zeta, rng=rng,
-                        bisect_iters=self.alpha_bisect_iters,
-                        ladder_width=self.ladder_width,
-                    )
-                    alpha[m] = new_alpha_m
-                n_sims += interval.n_simulations
-                widths.append(interval.width)
-                samples[k] = r * self._unit(alpha)
-                k += 1
-                coord = (coord + 1) % (self.dimension + 1)
-        return GibbsChain(samples=samples, n_simulations=n_sims, interval_widths=widths)
+        return self.run_lockstep(
+            r0, alpha, n_samples,
+            chain_rngs=[ensure_rng(rng)], verify_start=verify_start,
+        ).chain(0)
 
     def run_lockstep(
         self,
         r0: np.ndarray,
         alpha0: np.ndarray,
         n_samples: int,
-        rng: SeedLike = None,
+        chain_rngs: Sequence[SeedLike],
         verify_start: bool = True,
-        chain_rngs: Optional[list] = None,
     ) -> MultiChainGibbs:
         """Advance ``C`` spherical chains synchronously (lockstep G-S).
 
@@ -312,15 +215,13 @@ class SphericalGibbs:
         points are promoted to one chain).  All chains move through the
         same coordinate schedule — radius, then each orientation component
         — so every bisection step batches into one metric call across
-        chains, exactly as in :meth:`CartesianGibbs.run_lockstep`.  With
-        ``C = 1`` the chain is bit-for-bit identical to :meth:`run` under
-        the same seed.
+        chains, exactly as in :meth:`CartesianGibbs.run_lockstep`.
 
         ``chain_rngs`` assigns every chain its own generator (see
-        :meth:`CartesianGibbs.run_lockstep`): trajectories then no longer
-        depend on how chains are grouped into lockstep calls, which is what
-        lets the first-stage fan-out split chains across processes without
-        changing any number.
+        :meth:`CartesianGibbs.run_lockstep`): trajectories do not depend on
+        how chains are grouped into lockstep calls, which is what lets the
+        first-stage fan-out split chains across processes without changing
+        any number.
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -331,15 +232,12 @@ class SphericalGibbs:
                 f"(n_chains, {self.dimension})"
             )
         n_chains = alpha.shape[0]
-        if chain_rngs is not None:
-            if len(chain_rngs) != n_chains:
-                raise ValueError(
-                    f"chain_rngs has {len(chain_rngs)} generators for "
-                    f"{n_chains} chains"
-                )
-            draw_rng = [ensure_rng(r) for r in chain_rngs]
-        else:
-            draw_rng = ensure_rng(rng)
+        if len(chain_rngs) != n_chains:
+            raise ValueError(
+                f"chain_rngs has {len(chain_rngs)} generators for "
+                f"{n_chains} chains"
+            )
+        draw_rng = [ensure_rng(r) for r in chain_rngs]
         r = np.asarray(r0, dtype=float).reshape(-1)
         if r.size not in (1, n_chains):
             raise ValueError(

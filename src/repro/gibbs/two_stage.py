@@ -15,27 +15,25 @@ baselines, the Gibbs chain determines *both the mean and the covariance* of
 An optional Gaussian-mixture fit implements the non-Normal extension the
 paper defers to future work (Section IV-C).
 
-With ``n_chains > 1`` the first stage runs the **lockstep multi-chain
-engine**: ``C`` chains start from jittered copies of the Algorithm-4
+The first stage runs the **lockstep multi-chain engine**: ``C`` chains
+(``n_chains``, default 1) start from jittered copies of the Algorithm-4
 minimum-norm point, advance synchronously (each bisection step issues one
 batched metric call across all chains), and all chains' Cartesian samples
-are pooled for the ``g_nor`` fit.  Cross-chain mixing diagnostics
-(split Gelman-Rubin ``R-hat``, pooled ESS) land in
-``extras["chain_diagnostics"]``.  ``n_chains=1`` takes exactly the
-sequential code path, so single-chain results are seed-stable across the
-two engines.
+are pooled for the ``g_nor`` fit.  With ``C > 1`` cross-chain mixing
+diagnostics (split Gelman-Rubin ``R-hat``, pooled ESS) land in
+``extras["chain_diagnostics"]``.
 
-With ``n_workers`` set as well, the first stage additionally **fans chain
-groups out over a worker pool** (see :func:`run_first_stage`): every chain
-owns the spawn-indexed child stream at its global chain index, so the
-merged chain is bit-identical for any group size, worker count and
-backend — the grouping is purely a performance knob, optionally sized by
-a metric-throughput probe (``chain_group_size="adaptive"``).
+Chain groups fan out over an executor (see :func:`run_first_stage`);
+without ``n_workers`` or ``executor`` that is the one-worker inline
+executor, the same code path.  Every chain owns the spawn-indexed child
+stream at its global chain index, so the merged chain is bit-identical
+for any group size, worker count and backend — the grouping is purely a
+performance knob, optionally sized by a metric-throughput probe
+(``chain_group_size="adaptive"``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
@@ -43,9 +41,7 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro.gibbs.cartesian import CartesianGibbs, MultiChainGibbs
-from repro.gibbs.coordinates import initial_spherical_coordinates
-from repro.gibbs.spherical import SphericalGibbs
+from repro.gibbs.cartesian import MultiChainGibbs
 from repro.gibbs.starting_point import StartingPoint, find_starting_point
 from repro.mc.counter import CountedMetric
 from repro.mc.diagnostics import diagnose_chains
@@ -250,8 +246,8 @@ def run_first_stage(
     :func:`repro.parallel.adaptive.adaptive_group_size`).
 
     ``starts`` must already be verified failure points (see
-    ``_spread_starting_points``); workers skip re-verification so the
-    fan-out costs exactly the same simulations as the single-process path.
+    ``_spread_starting_points``); workers skip re-verification, so the
+    fan-out costs exactly the same simulations for any grouping.
     Sample tensors travel back via shared memory when the executor crosses
     process boundaries and the payload is large enough
     (:func:`repro.parallel.transport.should_use_shm`).
@@ -357,7 +353,7 @@ def _build_first_stage(
     spec: FailureSpec,
     dimension: int,
     rng: np.random.Generator,
-    pool: Optional[ParallelExecutor],
+    pool: ParallelExecutor,
     coordinate_system: str,
     n_gibbs: int,
     n_chains: int,
@@ -407,70 +403,20 @@ def _build_first_stage(
                 epsilon=epsilon, zeta=zeta,
             )
 
-        if n_chains == 1:
-            if coordinate_system == "cartesian":
-                sampler = CartesianGibbs(
-                    counted, spec, dimension, zeta=zeta,
-                    bisect_iters=bisect_iters,
-                    ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
-                )
-                chain = sampler.run(start.x, n_gibbs, rng)
-            else:
-                sampler = SphericalGibbs(
-                    counted, spec, dimension, zeta=zeta,
-                    bisect_iters=bisect_iters,
-                    ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
-                )
-                chain = sampler.run(start.r, start.alpha, n_gibbs, rng)
-        else:
-            starts_x = _spread_starting_points(
-                counted, spec, start, n_chains, rng, zeta, chain_jitter
-            )
-            if pool is not None:
-                chain = run_first_stage(
-                    counted, spec, starts_x, n_gibbs, pool,
-                    coordinate_system=coordinate_system,
-                    seed=rng,
-                    chain_group_size=chain_group_size,
-                    zeta=zeta, bisect_iters=bisect_iters, epsilon=epsilon,
-                    ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
-                    checkpoint_dir=checkpoint_dir, resume=resume,
-                )
-            elif coordinate_system == "cartesian":
-                sampler = CartesianGibbs(
-                    counted, spec, dimension, zeta=zeta,
-                    bisect_iters=bisect_iters,
-                    ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
-                )
-                chain = sampler.run_lockstep(
-                    starts_x, n_gibbs, rng, verify_start=False
-                )
-            else:
-                sampler = SphericalGibbs(
-                    counted, spec, dimension, zeta=zeta,
-                    bisect_iters=bisect_iters,
-                    ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
-                )
-                spherical = [
-                    initial_spherical_coordinates(point, epsilon)
-                    for point in starts_x
-                ]
-                chain = sampler.run_lockstep(
-                    np.array([r for r, _ in spherical]),
-                    np.vstack([alpha for _, alpha in spherical]),
-                    n_gibbs,
-                    rng,
-                    verify_start=False,
-                )
-
-        fit_samples = (
-            chain.samples if n_chains == 1 else chain.pooled_samples
+        starts_x = _spread_starting_points(
+            counted, spec, start, n_chains, rng, zeta, chain_jitter
         )
+        chain = run_first_stage(
+            counted, spec, starts_x, n_gibbs, pool,
+            coordinate_system=coordinate_system,
+            seed=rng,
+            chain_group_size=chain_group_size,
+            zeta=zeta, bisect_iters=bisect_iters, epsilon=epsilon,
+            ladder_width=ladder_width,
+            solver_warm_start=solver_warm_start,
+            checkpoint_dir=checkpoint_dir, resume=resume,
+        )
+        fit_samples = chain.pooled_samples
         if proposal_fit == "normal":
             proposal = MultivariateNormal.fit(fit_samples)
         elif proposal_fit == "mixture":
@@ -592,15 +538,13 @@ def gibbs_importance_sampling(
     n_workers:
         Parallelise *both* stages across cores.  The second stage shards
         into ``shard_size``-sample slices (see
-        :func:`repro.mc.importance.importance_sampling_estimate`); with
-        ``n_chains > 1`` the first stage fans chain groups out over the
-        same worker pool (see :func:`run_first_stage`), each chain on its
-        own spawn-indexed stream so the merged chain is bit-identical for
-        every worker count, backend and group size.  A single persistent
-        pool serves both stages.  Note the parallel first stage draws
-        per-chain streams rather than the legacy shared-generator lockstep
-        draws, so its numbers differ from ``n_workers=None`` multi-chain
-        runs (each path is internally seed-stable).
+        :func:`repro.mc.importance.importance_sampling_estimate`) and the
+        first stage fans chain groups out over the same worker pool (see
+        :func:`run_first_stage`), each chain on its own spawn-indexed
+        stream.  A single persistent pool serves both stages.  ``None``
+        (with no ``executor``) runs both stages on the one-worker inline
+        executor: the same code path, so the result is bit-identical for
+        every worker count, backend and group size.
     chain_group_size:
         Chains per first-stage worker task.  ``None`` splits the chains
         evenly over the workers; an integer pins the group size;
@@ -624,12 +568,11 @@ def gibbs_importance_sampling(
         Prebuilt :class:`~repro.parallel.ParallelExecutor` (e.g. the yield
         service's persistent pool); overrides ``n_workers``/``backend``.
     checkpoint_dir:
-        Persist the sharded stages' completed shards to append-only
-        ledgers in this directory (``repro-ledger-v1``): the first-stage
-        chain groups (parallel multi-chain path) and the second-stage
-        weight shards each get their own keyed ledger, so a killed run
-        resumes bit-identically, paying only for missing shards.  Only
-        effective on the sharded paths (``n_workers``/``executor`` set).
+        Persist both stages' completed shards to append-only ledgers in
+        this directory (``repro-ledger-v1``): the first-stage chain groups
+        and the second-stage weight shards each get their own keyed
+        ledger, so a killed run resumes bit-identically, paying only for
+        missing shards.
     resume:
         With ``checkpoint_dir``: replay matching ledgers (default);
         ``False`` truncates them and reruns everything.
@@ -656,13 +599,7 @@ def gibbs_importance_sampling(
     )
     dimension = counted.dimension
     pool = resolve_executor(executor, n_workers, backend)
-
     adaptive_requested = "adaptive" in (chain_group_size, shard_size)
-    if adaptive_requested and pool is None:
-        raise ValueError(
-            "adaptive shard/group sizing tunes the parallel fan-out; "
-            "pass n_workers to enable it (the serial path has no shards)"
-        )
     stage1_start = counted.checkpoint()
 
     adaptive_record = None
@@ -688,10 +625,10 @@ def gibbs_importance_sampling(
             "qmc_second_stage is only supported with proposal_fit='normal'"
         )
 
-    # One persistent pool serves starting-point-free first-stage fan-out
-    # and the sharded second stage; inline/serial executors make this a
-    # no-op (see ParallelExecutor.__enter__).
-    with pool if pool is not None else contextlib.nullcontext():
+    # One persistent pool serves the first-stage fan-out and the sharded
+    # second stage; inline executors make this a no-op (see
+    # ParallelExecutor.__enter__).
+    with pool:
         if first_stage is not None:
             proposal = first_stage.proposal
             extras = dict(first_stage.extras)
@@ -709,7 +646,8 @@ def gibbs_importance_sampling(
                 chain_jitter=chain_jitter, start=start,
                 doe_budget=doe_budget, surrogate_order=surrogate_order,
                 epsilon=epsilon, zeta=zeta, bisect_iters=bisect_iters,
-            ladder_width=ladder_width, solver_warm_start=solver_warm_start,
+                ladder_width=ladder_width,
+                solver_warm_start=solver_warm_start,
                 proposal_fit=proposal_fit,
                 mixture_components=mixture_components,
                 chain_group_size=chain_group_size,
@@ -737,7 +675,7 @@ def gibbs_importance_sampling(
             extras=extras,
             executor=pool,
             shard_size=int(shard_size),
-            checkpoint_dir=checkpoint_dir if pool is not None else None,
+            checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
 
@@ -796,7 +734,7 @@ def fit_first_stage(
     dimension = counted.dimension
     pool = resolve_executor(executor, n_workers, backend)
     stage1_start = counted.checkpoint()
-    with pool if pool is not None else contextlib.nullcontext():
+    with pool:
         return _build_first_stage(
             counted, spec, dimension, rng, pool,
             coordinate_system=coordinate_system,

@@ -53,7 +53,7 @@ class CountedMetric:
         #: drives ``count / calls`` up without touching ``count``.
         self.calls = 0
         #: Portion of ``count`` folded in from worker processes via
-        #: :meth:`add_external` — zero on the serial/thread paths, where
+        #: :meth:`add_external` — zero on inline and thread executors, where
         #: every evaluation goes through this instance directly.  Lets the
         #: CLI's verbose accounting show how much of the total cost was
         #: paid across process boundaries.

@@ -15,7 +15,6 @@ central claim (Gibbs sampling learns a better ``g_nor``).
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -37,12 +36,7 @@ from repro.parallel.workers import ISShardTask, fold_external_counts, run_is_sha
 from repro.stats.confidence import relative_error
 from repro.stats.mvnormal import MultivariateNormal
 from repro.telemetry import context as _telemetry
-from repro.utils.rng import (
-    SeedLike,
-    as_seed_sequence,
-    ensure_rng,
-    spawn_seed_sequences,
-)
+from repro.utils.rng import SeedLike, as_seed_sequence, spawn_seed_sequences
 
 
 def importance_weights(
@@ -163,7 +157,7 @@ def _sharded_second_stage(
     results = replayed + results
     # Shard draws never moved the parent's sequence position (each worker
     # fast-forwards a private copy); advance it once so the instance keeps
-    # its never-reuse-points contract, exactly as the serial path would.
+    # its never-reuse-points contract, exactly as one ``sample`` call would.
     if hasattr(proposal, "sample_shard") and hasattr(proposal, "advance"):
         proposal.advance(n_samples)
     results.sort(key=lambda r: r.index)
@@ -217,11 +211,11 @@ def importance_sampling_estimate(
         ``result.extras`` (used by the scatter-plot reproductions of
         Figs. 8-11 and 13).
     n_workers:
-        ``None`` (default) keeps the historical single-stream path.  Any
-        integer shards the second stage into ``shard_size``-sample slices
-        with per-shard child streams, run ``n_workers`` at a time on
-        ``backend``; the estimate is then a function of the seed and the
-        shard grid only, identical for every worker count and backend.
+        The second stage always runs in ``shard_size``-sample slices with
+        per-shard child streams; this runs ``n_workers`` of them at a time
+        on ``backend`` (``None``: one at a time, inline).  The estimate is
+        a function of the seed and the shard grid only, identical for
+        every worker count and backend.
     shard_size:
         Samples per shard, or ``"adaptive"`` to size shards from a
         metric-throughput probe
@@ -234,11 +228,11 @@ def importance_sampling_estimate(
         Prebuilt :class:`~repro.parallel.ParallelExecutor`; overrides
         ``n_workers``/``backend``.
     checkpoint_dir:
-        Sharded path only: persist completed weight shards to an
-        append-only ledger (``repro-ledger-v1``) so a killed second stage
-        resumes bit-identically, re-running only missing shards.  The
-        ledger key omits ``n_samples`` — spawn children are prefix-stable
-        — so a later, larger-budget run extends the same ledger.
+        Persist completed weight shards to an append-only ledger
+        (``repro-ledger-v1``) so a killed second stage resumes
+        bit-identically, re-running only missing shards.  The ledger key
+        omits ``n_samples`` — spawn children are prefix-stable — so a
+        later, larger-budget run extends the same ledger.
     resume:
         With ``checkpoint_dir``: replay an existing matching ledger
         (default); ``False`` truncates it first.
@@ -252,11 +246,6 @@ def importance_sampling_estimate(
     pool = resolve_executor(executor, n_workers, backend)
     adaptive_record = None
     if shard_size == "adaptive":
-        if pool is None:
-            raise ValueError(
-                "shard_size='adaptive' tunes the sharded path; pass "
-                "n_workers (or an executor) to enable it"
-            )
         probe = probe_metric_cost(metric, dimension)
         shard_size = adaptive_shard_size(
             n_samples, probe, n_workers=pool.n_workers
@@ -265,54 +254,28 @@ def importance_sampling_estimate(
             "probe": probe.as_extras(),
             "shard_size": int(shard_size),
         }
+    if (
+        getattr(proposal, "stateful_sample", False)
+        and not hasattr(proposal, "sample_shard")
+    ):
+        raise ValueError(
+            "the sharded second stage requires a shard-aware proposal: "
+            f"{type(proposal).__name__}.sample() ignores the per-shard "
+            "rng (stateful_sample=True) but exposes no "
+            "sample_shard(offset, n); shards would draw overlapping or "
+            "schedule-dependent points. Add sample_shard to the proposal."
+        )
     engine = _progress.get_active()
     if engine is not None:
         engine.stage_begin("second_stage")
     with _telemetry.span(
-        "second_stage",
-        method=method,
-        samples=int(n_samples),
-        sharded=pool is not None,
+        "second_stage", method=method, samples=int(n_samples)
     ) as stage_span:
-        if pool is not None:
-            if (
-                getattr(proposal, "stateful_sample", False)
-                and not hasattr(proposal, "sample_shard")
-            ):
-                raise ValueError(
-                    "sharded second stage requires a shard-aware proposal: "
-                    f"{type(proposal).__name__}.sample() ignores the per-shard "
-                    "rng (stateful_sample=True) but exposes no "
-                    "sample_shard(offset, n); shards would draw overlapping or "
-                    "schedule-dependent points. Run with n_workers=None or add "
-                    "sample_shard to the proposal."
-                )
-            weights, x, fail, n_failures, resume_record = (
-                _sharded_second_stage(
-                    metric, spec, proposal, nominal, n_samples, rng, pool,
-                    int(shard_size), store_samples, int(dimension),
-                    checkpoint_dir=checkpoint_dir, resume=resume,
-                )
-            )
-        else:
-            if checkpoint_dir is not None:
-                raise ValueError(
-                    "checkpoint_dir requires the sharded path; pass "
-                    "n_workers (or an executor) to enable it"
-                )
-            resume_record = None
-            rng = ensure_rng(rng)
-            x = proposal.sample(n_samples, rng)
-            fail = spec.indicator(metric(x))
-            weights = importance_weights(x, fail, proposal, nominal)
-            n_failures = int(fail.sum())
-            if engine is not None:
-                # Serial path: report the whole batch as one shard so
-                # unsharded runs still show progress and convergence.
-                engine.shard_done(
-                    "second_stage",
-                    SimpleNamespace(n_sims=int(n_samples), weights=weights),
-                )
+        weights, x, fail, n_failures, resume_record = _sharded_second_stage(
+            metric, spec, proposal, nominal, n_samples, rng, pool,
+            int(shard_size), store_samples, int(dimension),
+            checkpoint_dir=checkpoint_dir, resume=resume,
+        )
         stage_span.add("sims", int(n_samples))
         stage_span.add("failures", int(n_failures))
     if engine is not None:

@@ -7,20 +7,18 @@ reference of Table II, where 8.7 million raw samples validate the
 importance-sampling methods.  Evaluation streams in chunks so the memory
 footprint stays flat no matter how many samples are requested.
 
-With ``n_workers`` set, the workload is split into a fixed grid of shards
-(one child RNG stream per shard, spawned from a single seed sequence) and
-fanned out across processes by the :mod:`repro.parallel` layer.  The shard
-grid depends only on ``n_samples`` and ``shard_size`` — never on the
-worker count — so the sharded estimate, failure count and convergence
-trace are bit-identical for every ``n_workers`` and backend.
+The workload is split into a fixed grid of shards (one child RNG stream
+per shard, spawned from a single seed sequence) and run by the
+:mod:`repro.parallel` layer — inline by default, fanned out across
+processes with ``n_workers``.  The shard grid depends only on
+``n_samples`` and ``shard_size`` — never on the worker count — so the
+estimate, failure count and convergence trace are bit-identical for every
+``n_workers`` and backend.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.mc.indicator import FailureSpec
 from repro.mc.results import ConvergenceTrace, EstimationResult
@@ -36,12 +34,7 @@ from repro.parallel.workers import (
 )
 from repro.stats.confidence import montecarlo_relative_error
 from repro.telemetry import context as _telemetry
-from repro.utils.rng import (
-    SeedLike,
-    as_seed_sequence,
-    ensure_rng,
-    spawn_seed_sequences,
-)
+from repro.utils.rng import SeedLike, as_seed_sequence, spawn_seed_sequences
 
 
 def _sharded_monte_carlo(
@@ -53,7 +46,7 @@ def _sharded_monte_carlo(
     executor: ParallelExecutor,
     chunk_size: int,
     trace_points: int,
-    shard_size: Optional[int],
+    shard_size: int,
     checkpoint_dir=None,
     resume: bool = True,
 ) -> EstimationResult:
@@ -66,7 +59,7 @@ def _sharded_monte_carlo(
     bit-identical either way, and the metric is only charged for the
     shards that actually ran.
     """
-    shard_size = chunk_size if shard_size is None else int(shard_size)
+    shard_size = int(shard_size)
     shards = plan_shards(n_samples, shard_size)
     root = as_seed_sequence(seed)
     seeds = spawn_seed_sequences(root, len(shards))
@@ -166,7 +159,7 @@ def brute_force_monte_carlo(
     trace_points: int = 100,
     n_workers: Optional[int] = None,
     backend: str = "process",
-    shard_size: Optional[int] = None,
+    shard_size: int = 65536,
     executor: Optional[ParallelExecutor] = None,
     checkpoint_dir=None,
     resume: bool = True,
@@ -180,30 +173,31 @@ def brute_force_monte_carlo(
     Parameters
     ----------
     n_workers:
-        ``None`` (default) keeps the historical serial path, drawing every
-        chunk from one stream.  Any integer switches to the sharded path:
-        ``shard_size``-sample shards with per-shard child streams, executed
-        ``n_workers`` at a time on ``backend``.  Sharded results depend on
-        the seed and shard grid only — the same seed gives bit-identical
-        estimates for every worker count and backend (so ``n_workers=1``
-        is the serial reference of any parallel run).
+        The run always splits into ``shard_size``-sample shards with
+        per-shard child streams; this executes ``n_workers`` of them at a
+        time on ``backend`` (``None``: one at a time, inline).  Results
+        depend on the seed and shard grid only — the same seed gives
+        bit-identical estimates for every worker count and backend, so a
+        run without workers is the serial reference of any parallel run.
     backend:
         ``"process"`` / ``"thread"`` / ``"serial"`` (see
         :class:`repro.parallel.ParallelExecutor`).
     shard_size:
-        Samples per shard in the sharded path; defaults to ``chunk_size``.
+        Samples per shard.  With the seed, the shard grid is the run's
+        identity; ``chunk_size`` only bounds the rows per metric call
+        inside a shard and never changes a number.
     executor:
         Prebuilt :class:`~repro.parallel.ParallelExecutor`; overrides
         ``n_workers``/``backend``.
     checkpoint_dir:
-        Sharded path only: persist every completed shard to an
-        append-only ledger in this directory (format ``repro-ledger-v1``,
-        see ``docs/ELASTIC.md``).  A killed run re-invoked with the same
-        inputs resumes from the ledger, re-executing only the missing
-        shards, with a merged result bit-identical to an uninterrupted
-        run.  Pass an explicit integer ``rng`` seed (or a
-        ``SeedSequence``): with ``None`` or a live ``Generator`` every
-        invocation keys a different ledger and nothing ever resumes.
+        Persist every completed shard to an append-only ledger in this
+        directory (format ``repro-ledger-v1``, see ``docs/ELASTIC.md``).
+        A killed run re-invoked with the same inputs resumes from the
+        ledger, re-executing only the missing shards, with a merged
+        result bit-identical to an uninterrupted run.  Pass an explicit
+        integer ``rng`` seed (or a ``SeedSequence``): with ``None`` or a
+        live ``Generator`` every invocation keys a different ledger and
+        nothing ever resumes.
     resume:
         With ``checkpoint_dir``: replay an existing matching ledger
         (default).  ``False`` truncates it and starts the run over.
@@ -212,84 +206,17 @@ def brute_force_monte_carlo(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     dimension = dimension if dimension is not None else getattr(metric, "dimension")
     pool = resolve_executor(executor, n_workers, backend)
-    if checkpoint_dir is not None and pool is None:
-        raise ValueError(
-            "checkpoint_dir requires the sharded path; pass n_workers "
-            "(or an executor) to enable it"
-        )
     engine = _progress.get_active()
     if engine is not None:
         engine.stage_begin("mc")
-    with _telemetry.span(
-        "mc.run", samples=int(n_samples), sharded=pool is not None
-    ) as stage_span:
-        if pool is not None:
-            result = _sharded_monte_carlo(
-                metric, spec, n_samples, dimension, rng, pool,
-                chunk_size, trace_points, shard_size,
-                checkpoint_dir=checkpoint_dir, resume=resume,
-            )
-            stage_span.add("sims", int(n_samples))
-            stage_span.add("failures", int(result.extras["n_failures"]))
-            if engine is not None:
-                engine.stage_end("mc")
-            return result
-        rng = ensure_rng(rng)
-
-        # Shared log-spaced checkpoint grid, clamped to [1, n_samples] so
-        # tiny runs (n_samples < 10) still record every checkpoint;
-        # identical to the grid the sharded path plans, so the traces align
-        # point by point.
-        checkpoints = checkpoint_grid(n_samples, trace_points)
-        trace_n, trace_est, trace_rel = [], [], []
-
-        failures = 0
-        seen = 0
-        next_cp = 0
-        while seen < n_samples:
-            take = min(chunk_size, n_samples - seen)
-            x = rng.standard_normal((take, dimension))
-            fail = spec.indicator(metric(x))
-            # Record running stats at every checkpoint inside this chunk.
-            cum_inside = np.cumsum(fail)
-            while next_cp < checkpoints.size and checkpoints[next_cp] <= seen + take:
-                at = checkpoints[next_cp]
-                f_at = failures + int(cum_inside[at - seen - 1])
-                trace_n.append(at)
-                trace_est.append(f_at / at)
-                trace_rel.append(montecarlo_relative_error(f_at, at))
-                next_cp += 1
-            failures += int(fail.sum())
-            seen += take
-        if engine is not None:
-            # Serial path: the whole run reports as one shard so the
-            # progress view covers unsharded golden runs too.
-            engine.shard_done(
-                "mc",
-                SimpleNamespace(
-                    n_sims=int(n_samples),
-                    n_failures=int(failures),
-                    count=int(n_samples),
-                ),
-            )
+    with _telemetry.span("mc.run", samples=int(n_samples)) as stage_span:
+        result = _sharded_monte_carlo(
+            metric, spec, n_samples, dimension, rng, pool,
+            chunk_size, trace_points, shard_size,
+            checkpoint_dir=checkpoint_dir, resume=resume,
+        )
         stage_span.add("sims", int(n_samples))
-        stage_span.add("failures", int(failures))
+        stage_span.add("failures", int(result.extras["n_failures"]))
     if engine is not None:
         engine.stage_end("mc")
-
-    estimate = failures / n_samples
-    rel = montecarlo_relative_error(failures, n_samples)
-    trace = ConvergenceTrace(
-        n_samples=np.asarray(trace_n),
-        estimate=np.asarray(trace_est, dtype=float),
-        relative_error=np.asarray(trace_rel, dtype=float),
-    )
-    return EstimationResult(
-        method="MC",
-        failure_probability=estimate,
-        relative_error=rel,
-        n_first_stage=0,
-        n_second_stage=n_samples,
-        trace=trace,
-        extras={"n_failures": failures},
-    )
+    return result

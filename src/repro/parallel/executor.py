@@ -349,15 +349,17 @@ def resolve_executor(
     executor: Optional[ParallelExecutor],
     n_workers: Optional[int],
     backend: str = "process",
-) -> Optional[ParallelExecutor]:
+) -> ParallelExecutor:
     """Shared argument plumbing for ``(executor, n_workers, backend)`` knobs.
 
     Entry points accept either a prebuilt executor or the plain
-    ``n_workers``/``backend`` pair; ``None`` for both means "serial legacy
-    path" and returns ``None`` so the caller can keep its unsharded code.
+    ``n_workers``/``backend`` pair.  ``None`` for both is the one-worker
+    inline executor: every sampled stage has exactly one (sharded) code
+    path, so a run without a pool is the ``n_workers=1`` serial reference
+    of every parallel run, bit for bit.
     """
     if executor is not None:
         return executor
     if n_workers is None:
-        return None
+        return ParallelExecutor(n_workers=1, backend="serial")
     return ParallelExecutor(n_workers=n_workers, backend=backend)

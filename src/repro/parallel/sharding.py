@@ -69,8 +69,8 @@ def plan_shards(n_total: int, shard_size: int) -> List[Shard]:
 def checkpoint_grid(n_samples: int, trace_points: int) -> np.ndarray:
     """Log-spaced global convergence checkpoints, clamped to ``[1, n]``.
 
-    The same grid is used by the serial and the sharded Monte-Carlo paths,
-    so their traces are directly comparable point by point.  Tiny runs
+    Every Monte-Carlo run records its trace on this grid, whatever its
+    shard size, so traces are directly comparable point by point.  Tiny runs
     (``n_samples < 10``) clamp the start of the geomspace so every
     checkpoint is recordable.
     """

@@ -92,7 +92,7 @@ def should_use_shm(
     hosts where a block name means nothing), and the payload is big enough
     for the block setup to pay for itself.
     """
-    if not SHM_AVAILABLE or executor is None:
+    if not SHM_AVAILABLE:
         return False
     if not getattr(executor, "supports_shm", executor.cross_process):
         return False

@@ -482,7 +482,7 @@ def fold_external_counts(metric, executor, shard_results) -> None:
     results.  Calling this after every sharded run keeps first/second-stage
     accounting exact on all backends.
     """
-    if executor is None or not executor.cross_process:
+    if not executor.cross_process:
         return
     # Worker recorder snapshots come home on the same boat as the counts
     # and fold into the parent's active recorder here — before the

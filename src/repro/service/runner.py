@@ -37,7 +37,7 @@ from repro.analysis.experiments import run_method
 from repro.gibbs.two_stage import FirstStageArtifact, fit_first_stage
 from repro.mc.counter import CountedMetric
 from repro.mc.results import ConvergenceTrace, EstimationResult
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.ledger import open_ledger, seed_key
 from repro.parallel.sharding import plan_shards
 from repro.parallel.transport import should_use_shm
@@ -359,7 +359,7 @@ def execute_job(
     request.validate()
     t0 = time.perf_counter()
     _check_abort(should_abort)
-    pool = executor if executor is not None else ParallelExecutor(1, "serial")
+    pool = resolve_executor(executor, None)
     if problem is None:
         problem = build_problem(request)
     counted = CountedMetric(problem.metric, problem.dimension)

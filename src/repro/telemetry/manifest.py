@@ -35,7 +35,7 @@ def build_manifest(
         What ran: CLI subcommand, problem key, method label(s), seed.
     n_workers / backend:
         The worker grid the parallel layer fanned out over (``None``
-        means the serial legacy path).
+        means the one-worker inline executor).
     argv:
         The invocation's argument vector, verbatim.
     adaptive:

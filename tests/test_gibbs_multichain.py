@@ -5,9 +5,10 @@ Three contracts are pinned here:
 1. the batched interval search is *exactly* the scalar search run per
    chain — same intervals, same per-chain simulation counts (property
    test over random regions and depths);
-2. with one chain the lockstep samplers are bit-for-bit identical to the
-   sequential ``run`` under the same seed — multi-chain mode is a pure
-   execution-strategy change, not a statistical one;
+2. with one chain the lockstep samplers are bit-for-bit identical to
+   ``run`` under the same seed — ``run`` is the one-chain case of
+   ``run_lockstep``, so multi-chain mode is a pure execution-strategy
+   change, not a statistical one;
 3. the ``CountedMetric`` accounting of a C-chain lockstep run equals the
    sum of C scalar-chain runs while issuing far fewer metric *calls*.
 """
@@ -102,7 +103,7 @@ class TestBatchedSearchParity:
 
 
 # --------------------------------------------------------------------------
-# 2. Single-chain lockstep == sequential, bit for bit
+# 2. Single-chain lockstep == run, bit for bit
 # --------------------------------------------------------------------------
 
 class TestSingleChainBitEquality:
@@ -111,7 +112,9 @@ class TestSingleChainBitEquality:
         x0 = np.array([3.5, 0.0])
         sampler = CartesianGibbs(metric, SPEC)
         seq = sampler.run(x0, 40, np.random.default_rng(7))
-        lock = sampler.run_lockstep(x0, 40, np.random.default_rng(7))
+        lock = sampler.run_lockstep(
+            x0, 40, chain_rngs=[np.random.default_rng(7)]
+        )
         assert lock.n_chains == 1
         assert np.array_equal(seq.samples, lock.samples[0])
         assert seq.n_simulations == lock.n_simulations
@@ -124,7 +127,9 @@ class TestSingleChainBitEquality:
         r0, a0 = initial_spherical_coordinates(np.array([3.5, 0.0]))
         sampler = SphericalGibbs(metric, SPEC)
         seq = sampler.run(r0, a0, 40, np.random.default_rng(11))
-        lock = sampler.run_lockstep(r0, a0, 40, np.random.default_rng(11))
+        lock = sampler.run_lockstep(
+            r0, a0, 40, chain_rngs=[np.random.default_rng(11)]
+        )
         assert np.array_equal(seq.samples, lock.samples[0])
         assert seq.n_simulations == lock.n_simulations
 
@@ -135,7 +140,9 @@ class TestSingleChainBitEquality:
         x0 = np.array([1.0, 1.0])
         sampler = CartesianGibbs(metric, SPEC)
         seq = sampler.run(x0, 30, np.random.default_rng(5))
-        lock = sampler.run_lockstep(x0, 30, np.random.default_rng(5))
+        lock = sampler.run_lockstep(
+            x0, 30, chain_rngs=[np.random.default_rng(5)]
+        )
         assert np.array_equal(seq.samples, lock.samples[0])
         assert seq.n_simulations == lock.n_simulations
 
@@ -171,7 +178,8 @@ class TestMultiChainAccounting:
         counted = CountedMetric(QuadrantMetric(np.zeros(2)), 2)
         sampler = CartesianGibbs(counted, SPEC)
         multi = sampler.run_lockstep(
-            starts, n_samples, np.random.default_rng(999)
+            starts, n_samples,
+            chain_rngs=[np.random.default_rng(999 + c) for c in range(4)],
         )
         assert counted.count == multi.n_simulations == scalar_total
         assert np.all(multi.per_chain_simulations == scalar_total // 4)
@@ -193,7 +201,9 @@ class TestMultiChainAccounting:
         metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
         sampler = CartesianGibbs(metric, SPEC)
         starts = np.array([[3.5, 0.0], [3.2, 0.4], [3.8, -0.3]])
-        multi = sampler.run_lockstep(starts, 12, np.random.default_rng(2))
+        multi = sampler.run_lockstep(
+            starts, 12, chain_rngs=[np.random.default_rng(c) for c in range(3)]
+        )
         assert isinstance(multi, MultiChainGibbs)
         assert multi.samples.shape == (3, 12, 2)
         assert multi.n_samples == 36
@@ -211,7 +221,9 @@ class TestMultiChainAccounting:
         sampler = CartesianGibbs(metric, SPEC)
         starts = np.array([[3.5, 0.0], [0.0, 0.0]])  # second start passes
         with pytest.raises(ValueError, match="not in the failure region"):
-            sampler.run_lockstep(starts, 5, np.random.default_rng(0))
+            sampler.run_lockstep(
+                starts, 5, chain_rngs=[np.random.default_rng(0)] * 2
+            )
 
     def test_spherical_lockstep_rejects_bad_r0_size(self):
         metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
@@ -220,7 +232,7 @@ class TestMultiChainAccounting:
         with pytest.raises(ValueError):
             sampler.run_lockstep(
                 np.array([3.5, 3.5, 3.5]), np.tile(a0, (2, 1)), 5,
-                np.random.default_rng(0),
+                chain_rngs=[np.random.default_rng(0)] * 2,
             )
 
 

@@ -125,10 +125,10 @@ class TestBitIdentity:
 
     def test_serial_paths_still_report_progress(self, problem):
         with activate(ProgressEngine()) as engine:
-            _mc(problem)  # historical unsharded path
+            _mc(problem)  # no executor: the one-worker inline run
         (stage,) = engine.snapshot()["stages"]
         assert stage["stage"] == "mc"
-        assert stage["shards_done"] == 1
+        assert stage["shards_done"] == 2000 // 250
         assert stage["sims_live"] == 2000
         assert stage["convergence"] is not None
 

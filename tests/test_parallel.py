@@ -2,14 +2,16 @@
 
 The load-bearing property is the determinism contract: the shard grid is a
 function of ``(n_total, shard_size)`` only and every shard owns the child
-stream at its spawn index, so a sharded run is bit-identical for every
-worker count and every backend — the serial reference being ``n_workers=1``
-of the very same path.
+stream at its spawn index, so a run is bit-identical for every worker
+count and every backend.  There is one path per sampled stage: a run
+without an executor is the ``n_workers=1`` inline run of that path.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.blockade import statistical_blockade
+from repro.gibbs.two_stage import gibbs_importance_sampling
 from repro.mc.counter import CountedMetric
 from repro.mc.importance import importance_sampling_estimate
 from repro.mc.montecarlo import brute_force_monte_carlo
@@ -74,8 +76,10 @@ class TestParallelExecutor:
         ex = ParallelExecutor(n_workers=3, backend="thread")
         assert resolve_executor(ex, 8, "process") is ex
 
-    def test_resolve_none_means_legacy(self):
-        assert resolve_executor(None, None) is None
+    def test_resolve_none_runs_inline(self):
+        ex = resolve_executor(None, None)
+        assert ex.n_workers == 1 and ex.backend == "serial"
+        assert ex.runs_inline and not ex.cross_process
 
     def test_resolve_builds_from_workers(self):
         ex = resolve_executor(None, 2, "thread")
@@ -292,8 +296,8 @@ class TestShardedQMCSecondStage:
     ])
     def test_sharded_qmc_matches_serial(self, problem, base, backend, n_workers):
         """Shards draw [offset, offset+count) of the one scrambled sequence,
-        so the sharded estimate equals the legacy serial QMC path bit-exactly
-        — no duplicated Sobol points on any backend."""
+        so any shard grid equals the default one-shard inline run
+        bit-exactly — no duplicated Sobol points on any backend."""
         serial = importance_sampling_estimate(
             problem.metric, problem.spec, QMCNormal(base, seed=21), 2048,
             rng=17,
@@ -307,8 +311,8 @@ class TestShardedQMCSecondStage:
         assert sharded.extras["n_failures"] == serial.extras["n_failures"]
 
     def test_sharded_run_advances_parent_sequence(self, problem, base):
-        """After a sharded run the proposal has consumed its points, exactly
-        like the serial path — a follow-up draw must not replay them."""
+        """After a run the proposal has consumed its points, whatever the
+        shard grid — a follow-up draw must not replay them."""
         serial_prop = QMCNormal(base, seed=22)
         importance_sampling_estimate(
             problem.metric, problem.spec, serial_prop, 1024, rng=3,
@@ -391,3 +395,69 @@ class TestParallelPanels:
         assert 0 <= row["n_reached"] <= 3
         if row["second_stage"] is not None:
             assert row["total"] >= row["second_stage"]
+
+
+def _gibbs_flow(coordinate_system, n_chains):
+    def run(problem, **executor):
+        return gibbs_importance_sampling(
+            problem.metric, problem.spec, dimension=problem.dimension,
+            coordinate_system=coordinate_system, n_gibbs=12,
+            n_chains=n_chains, n_second_stage=1200, shard_size=300, rng=1,
+            **executor,
+        )
+
+    return run
+
+
+def _mc_flow(problem, **executor):
+    return brute_force_monte_carlo(
+        problem.metric, problem.spec, 4000, dimension=problem.dimension,
+        rng=1, shard_size=512, **executor,
+    )
+
+
+def _is_flow(problem, **executor):
+    proposal = MultivariateNormal(np.array([1.8, 0.9]), np.eye(2))
+    return importance_sampling_estimate(
+        problem.metric, problem.spec, proposal, 4000,
+        rng=1, shard_size=600, **executor,
+    )
+
+
+def _blockade_flow(problem, **executor):
+    return statistical_blockade(
+        problem.metric, problem.spec, 6000, dimension=problem.dimension,
+        n_train=300, rng=1, shard_size=1024, **executor,
+    )
+
+
+FLOWS = {
+    "G-S/1": _gibbs_flow("spherical", 1),
+    "G-S/3": _gibbs_flow("spherical", 3),
+    "G-C/1": _gibbs_flow("cartesian", 1),
+    "G-C/3": _gibbs_flow("cartesian", 3),
+    "MC": _mc_flow,
+    "IS": _is_flow,
+    "Blockade": _blockade_flow,
+}
+
+
+class TestOneExecutionPath:
+    """No executor, one inline worker and a thread pool: one answer.
+
+    Every sampled stage has a single sharded implementation, so leaving
+    the executor out must not change a single bit of any estimate.
+    """
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    @pytest.mark.parametrize("executor", [
+        {"n_workers": 1, "backend": "serial"},
+        {"n_workers": 2, "backend": "thread"},
+    ], ids=["serial-1", "thread-2"])
+    def test_no_executor_is_the_inline_run(self, problem, flow, executor):
+        reference = FLOWS[flow](problem)
+        run = FLOWS[flow](problem, **executor)
+        assert run.failure_probability == reference.failure_probability
+        assert run.relative_error == reference.relative_error
+        assert run.n_first_stage == reference.n_first_stage
+        assert run.n_second_stage == reference.n_second_stage

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.blockade import statistical_blockade
+from repro.gibbs.cartesian import MultiChainGibbs
 from repro.gibbs.starting_point import StartingPoint
 from repro.gibbs.two_stage import (
     _spread_starting_points,
@@ -151,12 +152,14 @@ class TestFirstStageBitIdentity:
         assert 0 < counted.external_count <= counted.count
         assert "via workers" in repr(counted)
 
-    def test_single_chain_keeps_sequential_engine(self, problem):
-        serial = _gibbs(problem, n_chains=1, n_workers=None)
+    def test_single_chain_runs_the_fanout_engine(self, problem):
+        """One chain takes the same fan-out path as many: no executor is
+        the one-worker inline run of the process-sharded run."""
+        inline = _gibbs(problem, n_chains=1, n_workers=None)
         sharded = _gibbs(problem, n_chains=1, n_workers=2, backend="process")
-        np.testing.assert_array_equal(
-            serial.extras["chain"].samples, sharded.extras["chain"].samples
-        )
+        assert isinstance(inline.extras["chain"], MultiChainGibbs)
+        assert inline.extras["chain"].samples.shape == (1, 12, 2)
+        _assert_same_run(inline, sharded)
 
     def test_merge_rejects_missing_chains(self, problem):
         starts = np.array([[3.0, 1.0], [2.5, 2.0]])
@@ -339,16 +342,21 @@ class TestAdaptiveSizing:
         fast = ProbeReport(1e-9, 1e-10, (16, 512), 3, 1584)
         assert adaptive_group_size(8, fast, n_workers=2) == 4  # ceil(8/2)
 
-    def test_adaptive_requires_workers(self, problem):
-        with pytest.raises(ValueError, match="n_workers"):
-            _gibbs(problem, shard_size="adaptive")
-        with pytest.raises(ValueError, match="n_workers"):
-            importance_sampling_estimate(
-                CountedMetric(problem.metric, problem.dimension),
-                problem.spec,
-                MultivariateNormal(np.array([2.0, 1.0]), np.eye(2)),
-                400, rng=0, shard_size="adaptive",
-            )
+    def test_adaptive_runs_on_default_executor(self, problem):
+        """Without workers, adaptive sizing tunes the one inline worker."""
+        gibbs = _gibbs(
+            problem, chain_group_size="adaptive", shard_size="adaptive"
+        )
+        record = gibbs.extras["adaptive_sharding"]
+        assert 1 <= record["chain_group_size"] <= 4
+        assert 1 <= record["shard_size"] <= 300
+        second = importance_sampling_estimate(
+            CountedMetric(problem.metric, problem.dimension),
+            problem.spec,
+            MultivariateNormal(np.array([2.0, 1.0]), np.eye(2)),
+            400, rng=0, shard_size="adaptive",
+        )
+        assert 1 <= second.extras["adaptive_sharding"]["shard_size"] <= 400
 
     def test_adaptive_run_records_grid_and_replays_bitwise(self, problem):
         adaptive = _gibbs(

@@ -406,12 +406,19 @@ class TestMonteCarloResume:
         assert counted.count == 4000
         assert len(list(tmp_path.glob("mc-*.jsonl"))) == 2
 
-    def test_serial_path_rejects_checkpoint_dir(self, problem, tmp_path):
-        with pytest.raises(ValueError, match="sharded path"):
-            brute_force_monte_carlo(
-                problem.metric, problem.spec, 100,
-                dimension=problem.dimension, checkpoint_dir=tmp_path,
-            )
+    def test_default_executor_resumes(self, problem, tmp_path):
+        """No workers is the one-worker inline run: it checkpoints too."""
+        reference = _mc(problem, n_workers=None)
+        _mc(problem, n_workers=None, checkpoint_dir=tmp_path)
+        _truncate_ledger(_ledger_file(tmp_path), keep_rows=3)
+
+        counted = _counted(problem)
+        resumed = _mc(
+            problem, metric=counted, n_workers=None, checkpoint_dir=tmp_path
+        )
+        _assert_same_estimate(reference, resumed)
+        assert counted.count == 5 * 500
+        assert resumed.extras["resume"]["shards_replayed"] == 3
 
     def test_worker_hosts_recorded(self, problem, tmp_path):
         result = _mc(problem, checkpoint_dir=tmp_path)
@@ -423,10 +430,11 @@ class TestMonteCarloResume:
 class TestImportanceSamplingResume:
     def _estimate(self, problem, metric, tmp_path=None, n_samples=1200, **kw):
         proposal = MultivariateNormal(np.array([2.0, 1.0]), np.eye(2))
+        options = dict(rng=5, n_workers=2, backend="thread", shard_size=300)
+        options.update(kw)
         return importance_sampling_estimate(
             metric, problem.spec, proposal, n_samples,
-            rng=5, n_workers=2, backend="thread", shard_size=300,
-            checkpoint_dir=tmp_path, **kw,
+            checkpoint_dir=tmp_path, **options,
         )
 
     def test_complete_ledger_replays_all(self, problem, tmp_path):
@@ -453,13 +461,21 @@ class TestImportanceSamplingResume:
         assert extended.failure_probability == reference.failure_probability
         assert len(list(tmp_path.glob("is-*.jsonl"))) == 1
 
-    def test_serial_path_rejects_checkpoint_dir(self, problem, tmp_path):
-        proposal = MultivariateNormal.standard(2)
-        with pytest.raises(ValueError, match="sharded path"):
-            importance_sampling_estimate(
-                problem.metric, problem.spec, proposal, 100,
-                checkpoint_dir=tmp_path,
-            )
+    def test_default_executor_resumes(self, problem, tmp_path):
+        """No workers is the one-worker inline run: it checkpoints too."""
+        reference = self._estimate(problem, _counted(problem), n_workers=None)
+        self._estimate(problem, _counted(problem), tmp_path, n_workers=None)
+        _truncate_ledger(_ledger_file(tmp_path, "is"), keep_rows=1)
+
+        counted = _counted(problem)
+        resumed = self._estimate(problem, counted, tmp_path, n_workers=None)
+        assert resumed.failure_probability == reference.failure_probability
+        assert resumed.relative_error == reference.relative_error
+        np.testing.assert_array_equal(
+            resumed.trace.estimate, reference.trace.estimate
+        )
+        assert counted.count == 3 * 300
+        assert resumed.extras["resume"]["shards_replayed"] == 1
 
 
 class TestFirstStageResume:
@@ -634,6 +650,8 @@ class TestServiceResume:
             resumed.failure_probability == reference.failure_probability
         )
         assert manifest["job"]["resume"]["shards_replayed"] == 4
-        # Second-stage sims were all replayed; only the (uncached)
-        # first stage re-ran.
-        assert manifest["job"]["sims_run"] == first["job"]["sims_run"] - 1000
+        # The chain group and every second-stage shard were replayed from
+        # their ledgers; only the (uncached) starting-point search re-ran.
+        start_sims = resumed.extras["starting_point"].n_simulations
+        assert 0 < start_sims < first["job"]["sims_run"] - 1000
+        assert manifest["job"]["sims_run"] == start_sims
