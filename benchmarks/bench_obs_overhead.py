@@ -1,16 +1,19 @@
-"""Hot-path overhead of the live observability layer (repro.obs).
+"""Hot-path overhead of the instrumentation spine (repro.telemetry).
 
-The obs contract has two halves: results are bit-identical with the
-progress engine on or off (asserted here on every repeat), and observing
-a run costs essentially nothing — the engine is one lock acquisition per
-shard completion against shards that each run thousands of transistor
-metric evaluations.  This bench measures the Gibbs-method hot path
-(G-S on the read-current problem, sharded through the inline executor)
-in three modes:
+The contract has two halves: results are bit-identical with the sinks
+installed or not (asserted here on every repeat), and observing a run
+costs essentially nothing — the progress engine is one lock acquisition
+per shard completion against shards that each run thousands of
+transistor metric evaluations.  This bench measures the Gibbs-method hot
+path (G-S on the read-current problem, sharded through the inline
+executor) in three modes:
 
-* ``off``      — no engine installed (every hook is one ``is None`` check);
-* ``on``       — a :class:`~repro.obs.progress.ProgressEngine` active;
-* ``scraped``  — engine active *and* a loopback ``/metrics`` exporter
+* ``off``      — no sink installed (every hook is one test of a global);
+* ``on``       — what ``--metrics-port`` installs: a
+  :class:`~repro.telemetry.Recorder` and a
+  :class:`~repro.telemetry.ProgressEngine`, via
+  :func:`repro.telemetry.activate`;
+* ``scraped``  — the same sinks *and* a loopback ``/metrics`` exporter
   polled at 10 Hz by a background thread (an order of magnitude faster
   than a production Prometheus scrape interval).
 
@@ -24,21 +27,25 @@ over rounds of the within-round ratio** against that round's ``off``
 run — drift common to a round cancels in the ratio, and noise only ever
 adds time, so the min ratio is the estimate closest to the true cost
 (the usual min-estimator argument, applied per round).  The acceptance
-gate is < 2% overhead for ``on`` and ``scraped`` vs ``off``.
+gate is < 2% overhead for ``on`` and ``scraped`` vs ``off``.  The
+quartiles of the per-round ratios are recorded next to the minimum, so
+the record shows how wide the round-to-round noise is against the gate.
 
 Headline numbers land in ``BENCH_obs_overhead.json`` at the repo root.
 """
 
 import json
+import os
+import statistics
 import threading
 import time
 import urllib.request
 from pathlib import Path
 
 from benchmarks._shared import bench_metadata, problem, scaled, write_report
+from repro import telemetry
 from repro.analysis.experiments import run_method
 from repro.analysis.tables import format_table
-from repro.obs import ProgressEngine, activate
 from repro.obs.http import start_metrics_server
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_obs_overhead.json"
@@ -61,6 +68,14 @@ def _fingerprint(result):
     )
 
 
+def _sinks():
+    """The sinks ``--metrics-port`` installs, through the same call."""
+    return telemetry.activate(
+        telemetry.Recorder(run_id="bench-obs"),
+        engine=telemetry.ProgressEngine(),
+    )
+
+
 def _run_once(mode, prob, kwargs):
     """One timed run in ``mode``; returns (seconds, result fingerprint)."""
     if mode == "off":
@@ -68,12 +83,12 @@ def _run_once(mode, prob, kwargs):
         result = _workload(prob, kwargs)
         return time.perf_counter() - t0, _fingerprint(result)
     if mode == "on":
-        with activate(ProgressEngine()):
+        with _sinks():
             t0 = time.perf_counter()
             result = _workload(prob, kwargs)
             return time.perf_counter() - t0, _fingerprint(result)
     assert mode == "scraped"
-    with activate(ProgressEngine()):
+    with _sinks():
         with start_metrics_server(0) as server:
             stop = threading.Event()
 
@@ -134,11 +149,14 @@ def run():
     # Overhead per the docstring: min over rounds of the within-round
     # ratio, so time-correlated drift cancels against the adjacent
     # ``off`` run instead of being charged to a mode.
-    overhead = {
-        mode: min(
-            times[mode][i] / times["off"][i] for i in range(REPEATS)
-        ) - 1.0
+    ratios = {
+        mode: [times[mode][i] / times["off"][i] for i in range(REPEATS)]
         for mode in ("on", "scraped")
+    }
+    overhead = {mode: min(ratios[mode]) - 1.0 for mode in ratios}
+    quartiles = {
+        mode: [q - 1.0 for q in statistics.quantiles(ratios[mode], n=4)]
+        for mode in ratios
     }
     for mode, value in overhead.items():
         assert value < OVERHEAD_CEILING, (
@@ -156,7 +174,9 @@ def run():
         "backend": "serial (inline executor, same hooks as pooled)",
         "repeats": REPEATS,
         "seconds": records,
+        "cpu_count": os.cpu_count(),
         "overhead_vs_off": overhead,
+        "overhead_quartiles_vs_off": quartiles,
         "overhead_ceiling": OVERHEAD_CEILING,
         "results_identical_across_modes": True,
     }
@@ -167,6 +187,9 @@ def run():
             mode,
             f"{records[mode]:.3f}",
             "-" if mode == "off" else f"{100 * overhead[mode]:+.2f}%",
+            "-" if mode == "off" else " / ".join(
+                f"{100 * q:+.2f}%" for q in quartiles[mode]
+            ),
         ]
         for mode in ("off", "on", "scraped")
     ]
@@ -174,8 +197,11 @@ def run():
         f"G-S on iread, K = {kwargs['n_gibbs']}, "
         f"N = {kwargs['n_second_stage']}, inline executor, "
         f"{REPEATS} interleaved rounds "
-        "(time = min, overhead = min within-round ratio):\n"
-        + format_table(["obs mode", "time [s]", "overhead"], rows)
+        "(time = min, overhead = min within-round ratio; "
+        "quartiles Q1 / median / Q3 of the within-round ratios):\n"
+        + format_table(
+            ["obs mode", "time [s]", "overhead", "quartiles"], rows
+        )
         + "\n\nresults bit-identical across all modes: yes\n"
         f"acceptance: overhead < {100 * OVERHEAD_CEILING:.0f}% "
         "for 'on' and 'scraped'\n"

@@ -95,8 +95,8 @@ def statistical_blockade(
         train_span.add("sims", int(n_train))
 
     pool = resolve_executor(None, n_workers, backend)
-    with _telemetry.span(
-        "blockade.screen", generated=int(n_samples)
+    with _telemetry.stage(
+        "blockade", generated=int(n_samples)
     ) as screen_span:
         shards = plan_shards(n_samples, int(shard_size))
         seeds = spawn_seed_sequences(rng, len(shards))

@@ -372,32 +372,26 @@ def _first_stage_kwargs(args, methods) -> dict:
 
 
 @contextlib.contextmanager
-def _metrics_exporter(args):
-    """Live ``/metrics`` + ``/status`` for the run (``--metrics-port``).
+def _instrumented(args):
+    """Install this invocation's sinks for the block; yields the recorder.
 
-    Installs a fresh :class:`~repro.obs.progress.ProgressEngine` as the
-    process-global active engine and binds a loopback exporter for the
-    duration; the handler reads the actives at request time, so the
-    recorder (when one records) shows up on the same endpoint.  Without
-    the flag this yields immediately and every instrumented site keeps
-    its one-``is None``-check fast path.
+    ``--metrics-port`` adds a :class:`~repro.telemetry.ProgressEngine`
+    and a loopback exporter serving both on ``/metrics`` and ``/status``.
+    Without any flag nothing is installed (the one-test fast path).
     """
+    recorder = _run_recorder(args)
     port = getattr(args, "metrics_port", None)
-    if port is None:
-        yield None
-        return
-    from repro.obs import ProgressEngine, activate
-    from repro.obs.http import start_metrics_server
+    engine = telemetry.ProgressEngine() if port is not None else None
+    with telemetry.activate(recorder, engine=engine):
+        if engine is None:
+            yield recorder
+            return
+        from repro.obs.http import start_metrics_server
 
-    engine = ProgressEngine()
-    with activate(engine):
-        server = start_metrics_server(port)
-        logs.info(f"metrics exporter on {server.url}/metrics "
-                  f"(watch with `repro top {server.url}`)")
-        try:
-            yield engine
-        finally:
-            server.close()
+        with start_metrics_server(port) as server:
+            logs.info(f"metrics exporter on {server.url}/metrics "
+                      f"(watch with `repro top {server.url}`)")
+            yield recorder
 
 
 def _print_verbose_extras(result) -> None:
@@ -463,7 +457,6 @@ def _finish_telemetry(recorder, args, method) -> None:
     """Stamp the manifest, write the requested trace files, summarise."""
     if recorder is None:
         return
-    adaptive = None
     recorder.meta["manifest"] = telemetry.build_manifest(
         command=args.command,
         problem=args.problem,
@@ -508,12 +501,9 @@ def _cmd_estimate(args) -> int:
             n_workers=args.workers, backend="remote",
             listen=args.listen, min_workers=args.workers or 1,
         )
-    recorder = _run_recorder(args)
-    with _metrics_exporter(args), (
-        telemetry.activate(recorder)
-        if recorder is not None
-        else contextlib.nullcontext()
-    ), (pool if pool is not None else contextlib.nullcontext()):
+    with _instrumented(args) as recorder, (
+        pool if pool is not None else contextlib.nullcontext()
+    ):
         if pool is not None:
             host, port = pool.address
             logs.info(f"remote coordinator listening on {host}:{port}; "
@@ -570,12 +560,7 @@ def _cmd_compare(args) -> int:
         )
         return 2
     first_stage = _first_stage_kwargs(args, args.methods)
-    recorder = _run_recorder(args)
-    with _metrics_exporter(args), (
-        telemetry.activate(recorder)
-        if recorder is not None
-        else contextlib.nullcontext()
-    ):
+    with _instrumented(args) as recorder:
         results = compare_methods(
             problem, methods=tuple(args.methods), seed=args.seed,
             n_workers=args.workers, backend=args.backend,
@@ -629,9 +614,9 @@ def _cmd_serve(args) -> int:
                      "(every job runs cold)")
     metrics = None
     if args.metrics_port is not None:
-        # The service installed its progress engine as the process-global
-        # active in its constructor, so the dedicated exporter serves the
-        # same queue the API port does.
+        # The service installed its progress engine as the process's
+        # progress sink in its constructor, so the dedicated exporter
+        # serves the same queue the API port does.
         from repro.obs.http import start_metrics_server
 
         metrics = start_metrics_server(args.metrics_port)
@@ -749,17 +734,8 @@ def _cmd_worker(args) -> int:
     from repro.parallel.remote import parse_address, run_worker
 
     host, port = parse_address(args.connect)
-    recorder = (
-        telemetry.Recorder(run_id="repro-worker")
-        if args.metrics_port is not None
-        else None
-    )
     logs.info(f"joining coordinator at {host}:{port}")
-    with _metrics_exporter(args), (
-        telemetry.activate(recorder)
-        if recorder is not None
-        else contextlib.nullcontext()
-    ):
+    with _instrumented(args):
         completed = run_worker(
             host, port,
             heartbeat=args.heartbeat,

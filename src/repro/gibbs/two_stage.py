@@ -65,7 +65,6 @@ from repro.parallel.workers import (
 from repro.stats.mixture import GaussianMixture
 from repro.stats.mvnormal import MultivariateNormal
 from repro.stats.qmc import QMCNormal
-from repro.obs import progress as _progress
 from repro.telemetry import context as _telemetry
 from repro.utils.rng import (
     SeedLike,
@@ -383,15 +382,12 @@ def _build_first_stage(
     the first stage exactly as before).
     """
     t0 = time.perf_counter()
-    engine = _progress.get_active()
-    if engine is not None:
-        engine.stage_begin("first_stage")
-    # The span covers everything the paper charges to stage 1: the
+    # The stage covers everything the paper charges to stage 1: the
     # starting-point search, the chains, the proposal fit and the
-    # mixing diagnostics.  Its ``sims`` counter is the same
+    # mixing diagnostics.  Its span's ``sims`` counter is the same
     # checkpoint delta the result reports as ``n_first_stage``.
-    with _telemetry.span(
-        "gibbs.first_stage",
+    with _telemetry.stage(
+        "first_stage",
         coordinate_system=coordinate_system,
         n_chains=int(n_chains),
         n_gibbs=int(n_gibbs),
@@ -436,15 +432,12 @@ def _build_first_stage(
         if n_chains > 1 and n_gibbs >= 4:
             diagnostics = diagnose_chains(chain)
             extras["chain_diagnostics"] = diagnostics
-            if engine is not None:
-                engine.chain_diagnostics(
-                    diagnostics.max_rhat, diagnostics.min_ess
-                )
+            _telemetry.chain_diagnostics(
+                diagnostics.max_rhat, diagnostics.min_ess
+            )
 
         n_first_stage = counted.checkpoint() - stage1_start
         stage_span.add("sims", n_first_stage)
-    if engine is not None:
-        engine.stage_end("first_stage")
     return FirstStageArtifact(
         coordinate_system=coordinate_system,
         proposal=proposal,

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.mc.indicator import FailureSpec
 from repro.mc.results import ConvergenceTrace, EstimationResult
-from repro.obs import progress as _progress
 from repro.parallel.adaptive import adaptive_shard_size, probe_metric_cost
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.ledger import (
@@ -265,10 +264,7 @@ def importance_sampling_estimate(
             "sample_shard(offset, n); shards would draw overlapping or "
             "schedule-dependent points. Add sample_shard to the proposal."
         )
-    engine = _progress.get_active()
-    if engine is not None:
-        engine.stage_begin("second_stage")
-    with _telemetry.span(
+    with _telemetry.stage(
         "second_stage", method=method, samples=int(n_samples)
     ) as stage_span:
         weights, x, fail, n_failures, resume_record = _sharded_second_stage(
@@ -278,8 +274,6 @@ def importance_sampling_estimate(
         )
         stage_span.add("sims", int(n_samples))
         stage_span.add("failures", int(n_failures))
-    if engine is not None:
-        engine.stage_end("second_stage")
 
     result_extras = dict(extras or {})
     if adaptive_record is not None:

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 from repro.mc.indicator import FailureSpec
 from repro.mc.results import ConvergenceTrace, EstimationResult
-from repro.obs import progress as _progress
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.ledger import metric_fingerprint, open_ledger, seed_key
 from repro.parallel.sharding import checkpoint_grid, merge_mc_shards, plan_shards
@@ -206,10 +205,7 @@ def brute_force_monte_carlo(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     dimension = dimension if dimension is not None else getattr(metric, "dimension")
     pool = resolve_executor(executor, n_workers, backend)
-    engine = _progress.get_active()
-    if engine is not None:
-        engine.stage_begin("mc")
-    with _telemetry.span("mc.run", samples=int(n_samples)) as stage_span:
+    with _telemetry.stage("mc", samples=int(n_samples)) as stage_span:
         result = _sharded_monte_carlo(
             metric, spec, n_samples, dimension, rng, pool,
             chunk_size, trace_points, shard_size,
@@ -217,6 +213,4 @@ def brute_force_monte_carlo(
         )
         stage_span.add("sims", int(n_samples))
         stage_span.add("failures", int(result.extras["n_failures"]))
-    if engine is not None:
-        engine.stage_end("mc")
     return result

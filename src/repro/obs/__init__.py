@@ -1,37 +1,22 @@
-"""Live run observability: progress/ETA, Prometheus exposition, fleet health.
+"""Live run observability, read side: Prometheus, ``/status``, ``repro top``.
 
-``repro.obs`` is the *live* counterpart to :mod:`repro.telemetry`'s
-post-hoc recorder: a process-global :class:`ProgressEngine` subscribes to
-executor completions, ledger replays and stage transitions, and an HTTP
-exporter (:mod:`repro.obs.http`) serves the current state as Prometheus
-text exposition (``GET /metrics``) and JSON (``GET /status``) while the
-run is still going.  ``repro top`` renders that endpoint as a refreshing
+Telemetry records, obs exports.  The library reports only through
+:mod:`repro.telemetry`, whose sinks — the :class:`~repro.telemetry.
+Recorder` and the live :class:`~repro.telemetry.ProgressEngine` — hold
+the state.  This package reads them back: :mod:`repro.obs.prometheus`
+renders them as Prometheus text exposition, :mod:`repro.obs.http` serves
+``GET /metrics`` and ``GET /status`` while the run is still going, and
+``repro top`` (:mod:`repro.obs.top`) polls that endpoint as a refreshing
 terminal dashboard.
 
-Like telemetry, observability sits **outside the determinism contract**:
-the engine observes shard results, it never touches RNG streams or shard
-content, so estimates are bit-identical with obs enabled or disabled.
-When no engine is active every hook reduces to a single ``is None``
-check — the hot path pays nothing.
+Reading never touches the run: handlers take sink snapshots under the
+sinks' own locks, so estimates are bit-identical with an exporter up or
+down.
 """
 
-from repro.obs.progress import (
-    ProgressEngine,
-    activate,
-    enabled,
-    get_active,
-    set_active,
-    stage_for,
-)
 from repro.obs.prometheus import parse_exposition, render_exposition
 
 __all__ = [
-    "ProgressEngine",
-    "activate",
-    "enabled",
-    "get_active",
-    "set_active",
-    "stage_for",
     "render_exposition",
     "parse_exposition",
 ]

@@ -3,8 +3,8 @@
 :func:`start_metrics_server` binds a tiny stdlib HTTP server in a
 daemon thread serving
 
-* ``GET /metrics`` — Prometheus text exposition of the process-global
-  active :class:`~repro.obs.progress.ProgressEngine` and active
+* ``GET /metrics`` — Prometheus text exposition of the installed
+  telemetry sinks, the :class:`~repro.telemetry.ProgressEngine` and the
   :class:`~repro.telemetry.Recorder` (both read at request time, so a
   scrape mid-run sees live state), and
 * ``GET /status``  — the same state as one JSON document (what
@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.obs import progress as _progress
 from repro.obs.prometheus import render_exposition
 from repro.telemetry import context as _telemetry
 
@@ -34,7 +33,7 @@ EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 def obs_status(engine=None, recorder=None) -> dict:
     """One JSON-able document with everything a dashboard needs."""
     if engine is None:
-        engine = _progress.get_active()
+        engine = _telemetry.get_engine()
     if recorder is None:
         recorder = _telemetry.get_active()
     status = {"snapshot": None, "counters": {}, "gauges": {}}
@@ -68,7 +67,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/metrics":
             text = render_exposition(
-                engine=_progress.get_active(),
+                engine=_telemetry.get_engine(),
                 recorder=_telemetry.get_active(),
             )
             self._send(200, EXPOSITION_CONTENT_TYPE, text.encode())
@@ -119,12 +118,3 @@ def start_metrics_server(
 ) -> MetricsServer:
     """Bind and start serving ``/metrics`` + ``/status`` immediately."""
     return MetricsServer(host, int(port))
-
-
-def maybe_start_metrics_server(
-    port: Optional[int], host: str = "127.0.0.1"
-) -> Optional[MetricsServer]:
-    """CLI helper: ``None`` port means observability stays off."""
-    if port is None:
-        return None
-    return start_metrics_server(port, host=host)

@@ -1,6 +1,6 @@
 """Prometheus text-format exposition of progress, fleet and recorder state.
 
-:func:`render_exposition` turns the live :class:`~repro.obs.progress.
+:func:`render_exposition` turns the live :class:`~repro.telemetry.
 ProgressEngine` snapshot plus an optional :class:`~repro.telemetry.
 Recorder` into the Prometheus text exposition format (version 0.0.4):
 ``# HELP`` / ``# TYPE`` headers followed by ``name{labels} value``

@@ -33,7 +33,6 @@ from concurrent.futures import (
 )
 from typing import Callable, List, Optional, Sequence
 
-from repro.obs import progress as _progress
 from repro.telemetry import context as _telemetry
 
 #: Recognised backend names.  ``"remote"`` fans shards out to
@@ -266,31 +265,21 @@ class ParallelExecutor:
         ledger uses to persist checkpoints while the run is still going.
         The returned list keeps serial (task) order regardless.
 
-        When a progress engine is active (:mod:`repro.obs`), every
-        completion is additionally reported to it, and the remote
-        coordinator's fleet snapshot is attached for the exporter.  The
-        engine only observes results after they exist, so mapped output
-        is bit-identical with observability on or off.
+        Every completion is also reported through
+        :func:`repro.telemetry.shards_mapped` (a no-op without a progress
+        engine), which attaches the remote coordinator's fleet snapshot
+        for the exporter.  The engine only observes results after they
+        exist, so mapped output is bit-identical with it on or off.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        engine = _progress.get_active()
-        if engine is not None:
-            stage = _progress.stage_for(fn)
-            engine.map_started(stage, len(tasks))
-            if self.backend == "remote":
-                engine.attach_fleet(
-                    self._ensure_coordinator().fleet_snapshot
-                )
-            caller_cb = on_result
-
-            def on_result(result, _cb=caller_cb, _stage=stage,
-                          _engine=engine):
-                if _cb is not None:
-                    _cb(result)
-                _engine.shard_done(_stage, result)
-
+        coordinator = (
+            self._ensure_coordinator() if self.backend == "remote" else None
+        )
+        on_result = _telemetry.shards_mapped(
+            fn, len(tasks), on_result, fleet=coordinator
+        )
         with _telemetry.span(
             "parallel.map",
             fn=getattr(fn, "__name__", str(fn)),
@@ -298,10 +287,8 @@ class ParallelExecutor:
             backend=self.backend,
             workers=self.n_workers,
         ):
-            if self.backend == "remote":
-                return self._ensure_coordinator().map(
-                    fn, tasks, on_result=on_result
-                )
+            if coordinator is not None:
+                return coordinator.map(fn, tasks, on_result=on_result)
             if self.runs_inline:
                 results = []
                 for task in tasks:

@@ -43,19 +43,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import progress as _progress
 from repro.telemetry import context as _telemetry
 
 #: On-disk schema tag, bumped only on incompatible format changes.
 LEDGER_SCHEMA = "repro-ledger-v1"
-
-#: Ledger kind -> progress-engine stage name (see repro.obs.progress).
-_STAGE_BY_KIND = {
-    "mc": "mc",
-    "is": "second_stage",
-    "gibbs": "first_stage",
-    "blockade": "blockade",
-}
 
 
 def host_stamp() -> dict:
@@ -374,12 +365,12 @@ class ShardLedger:
     def split(self, tasks: Sequence) -> Tuple[List[object], List[object]]:
         """Partition shard tasks into (replayed results, tasks still to run).
 
-        Resume accounting lands both in telemetry — counters for the
-        fold, first-class gauges (``ledger.shards_replayed``,
-        ``ledger.sims_saved``, ``ledger.rows_dropped``) for exporters —
-        and in the active progress engine, which credits replayed shards
-        toward completion without letting them inflate the live
-        sims/sec rate.
+        Resume accounting goes through
+        :func:`repro.telemetry.shards_replayed`: counters and gauges
+        (``ledger.shards_replayed``, ``ledger.sims_saved``,
+        ``ledger.rows_dropped``) on the recorder, and replayed shards
+        credited toward completion, not the live sims/sec rate, on the
+        progress engine.
         """
         replayed: List[object] = []
         todo: List[object] = []
@@ -392,18 +383,9 @@ class ShardLedger:
                 replayed.append(hit)
             else:
                 todo.append(task)
-        sims_saved = int(
-            sum(int(getattr(r, "n_sims", 0) or 0) for r in replayed)
+        _telemetry.shards_replayed(
+            self.kind, replayed, len(todo), int(self.n_dropped)
         )
-        _telemetry.count("ledger.shards_replayed", len(replayed))
-        _telemetry.count("ledger.shards_scheduled", len(todo))
-        _telemetry.gauge("ledger.shards_replayed", len(replayed))
-        _telemetry.gauge("ledger.sims_saved", sims_saved)
-        _telemetry.gauge("ledger.rows_dropped", int(self.n_dropped))
-        engine = _progress.get_active()
-        if engine is not None and replayed:
-            engine.shards_replayed(_STAGE_BY_KIND.get(self.kind, self.kind),
-                                   replayed)
         return replayed, todo
 
     # ----------------------------------------------------------- record

@@ -55,7 +55,6 @@ import time
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.obs import progress as _progress
 from repro.parallel.ledger import host_stamp
 from repro.telemetry import context as _telemetry
 from repro.telemetry import logs
@@ -634,11 +633,7 @@ def run_worker(
                     # process opted in, e.g. ``repro worker
                     # --metrics-port``): shard tallies for its own
                     # /metrics endpoint.
-                    _telemetry.count("worker.tasks_completed", 1)
-                    _telemetry.observe("worker.task_seconds", wall)
-                    engine = _progress.get_active()
-                    if engine is not None:
-                        engine.shard_done(_progress.stage_for(fn), result)
+                    _telemetry.shard_completed(fn, result, wall)
                 elif kind == "ping":
                     conn.send(("pong",))
                 elif kind in ("drain", "shutdown"):

@@ -232,11 +232,14 @@ def _second_stage(
             resume=resume,
         )
     try:
-        records = _run_weight_shards(
-            counted, spec, proposal, nominal,
-            shards[first_new:], seeds[first_new:], executor, should_abort,
-            ledger=ledger,
-        )
+        with _telemetry.stage(
+            "second_stage", method=request.method, samples=n_total
+        ):
+            records = _run_weight_shards(
+                counted, spec, proposal, nominal,
+                shards[first_new:], seeds[first_new:], executor,
+                should_abort, ledger=ledger,
+            )
         if ledger is not None:
             _telemetry.fold_replayed_records(ledger.replayed_telemetry())
         resume_record = None if ledger is None else dict(

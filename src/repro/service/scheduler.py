@@ -25,13 +25,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.obs import progress as _progress
-from repro.obs.progress import ProgressEngine
 from repro.parallel.executor import ParallelExecutor
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import Job, JobCancelled, JobRequest, JobState
 from repro.service.runner import execute_job
+from repro.telemetry import context as _telemetry
 from repro.telemetry import logs
+from repro.telemetry.progress import ProgressEngine
 
 
 class YieldService:
@@ -54,10 +54,11 @@ class YieldService:
         Per-job wall-clock limit (seconds) when the request carries
         none; ``None`` means unlimited.
     observability:
-        Install a live :class:`~repro.obs.progress.ProgressEngine` for
-        the service's lifetime (default).  Each job-worker thread is
-        scoped by job id, so ``GET /jobs`` reports per-job progress and
-        ``GET /metrics`` exposes the whole queue.  Observing never
+        Install a live :class:`~repro.telemetry.ProgressEngine` as the
+        process's progress sink for the service's lifetime (default).
+        Each job-worker thread is scoped by job id, so ``GET /jobs``
+        reports per-job progress and ``GET /metrics`` exposes the whole
+        queue.  Observing never
         changes job results; ``False`` turns the engine off entirely.
     """
 
@@ -103,7 +104,7 @@ class YieldService:
         self._previous_engine: Optional[ProgressEngine] = None
         if observability:
             self.progress = ProgressEngine()
-            self._previous_engine = _progress.set_active(self.progress)
+            self._previous_engine = _telemetry.set_engine(self.progress)
 
     # ------------------------------------------------------------ submit
     def submit(self, request: Union[JobRequest, dict]) -> Job:
@@ -304,8 +305,8 @@ class YieldService:
                 event.set()
         self._workers.shutdown(wait=True, cancel_futures=True)
         self.executor.close()
-        if self.progress is not None and _progress.get_active() is self.progress:
-            _progress.set_active(self._previous_engine)
+        if _telemetry.get_engine() is self.progress:
+            _telemetry.set_engine(self._previous_engine)
 
     def __enter__(self) -> "YieldService":
         return self

@@ -1,17 +1,18 @@
-"""Run-wide telemetry: spans, counters and cross-process trace export.
+"""Run-wide instrumentation: the one spine the library reports through.
 
 The paper's evaluation is a cost-accounting argument — every figure and
 table compares methods by simulation count at a target accuracy — and
 the process-parallel fan-out of the execution layer spreads that cost
-over workers where ad-hoc prints cannot see it.  This package is the
-run-wide instrument:
+over workers where ad-hoc prints cannot see it.  Telemetry records;
+:mod:`repro.obs` exports (Prometheus text, ``/status``, ``repro top``).
+This package holds:
 
-* :class:`Recorder` — per-run counters, gauges, histograms and
-  context-manager **spans** (name, wall time, counters attached at
-  exit), thread-safe for the thread backend;
-* the **active-recorder fast path** (:func:`span`, :func:`count`,
-  :func:`gauge`, :func:`observe`) — what the hot paths call; with no
-  recorder activated each reduces to one ``is None`` check;
+* two **sinks**: :class:`Recorder` (counters, gauges, histograms and
+  **spans**) and the live :class:`ProgressEngine` (progress, ETA,
+  streaming convergence);
+* the **hooks** every instrumented site calls, the sink slots
+  (:func:`activate`, :func:`set_engine`) and the one **stage table**
+  (:data:`STAGES`), in :mod:`repro.telemetry.context`;
 * the **worker protocol** (:func:`ship_to_workers`,
   :class:`ShardTelemetry`, :func:`fold_shard_records`) — worker-side
   recorders travel home inside shard result records and fold into the
@@ -22,19 +23,20 @@ run-wide instrument:
   ``trace_event`` file (:func:`write_chrome_trace`) plus the run
   :func:`manifest <build_manifest>`;
 * the shared injectable **clock** (:mod:`repro.telemetry.clock`) that
-  spans and the adaptive-sizing probe both read;
+  spans, the progress engine and the adaptive-sizing probe all read;
 * the structured CLI **logger** (:mod:`repro.telemetry.logs`) keeping
   stdout machine-parseable.
 
-Telemetry is RNG-free and strictly additive: tracing a run can never
-change its sampling results — the parallel layer's bit-identity battery
-passes with tracing on and off — and timestamps are explicitly outside
-the determinism contract.
+Both sinks are RNG-free and strictly additive: recording or watching a
+run can never change its sampling results — the parallel layer's
+bit-identity battery passes with them on and off — and timestamps are
+explicitly outside the determinism contract.
 """
 
 from repro.telemetry.clock import get_timer, now, set_timer, use_timer
 from repro.telemetry.context import (
     NULL_SPAN,
+    STAGES,
     ShardTelemetry,
     activate,
     count,
@@ -43,10 +45,13 @@ from repro.telemetry.context import (
     fold_shard_records,
     gauge,
     get_active,
+    get_engine,
     observe,
     set_active,
+    set_engine,
     ship_to_workers,
     span,
+    stage,
 )
 from repro.telemetry.export import (
     JSONL_SCHEMA,
@@ -58,22 +63,29 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.logs import configure_cli_logging, get_logger
 from repro.telemetry.manifest import build_manifest
+from repro.telemetry.progress import ProgressEngine
 from repro.telemetry.recorder import Recorder, Span
 
 __all__ = [
-    # recorder
+    # sinks
     "Recorder",
     "Span",
-    # active-recorder fast path
+    "ProgressEngine",
+    # installation
     "activate",
     "get_active",
     "set_active",
+    "get_engine",
+    "set_engine",
     "enabled",
+    # hooks
     "span",
     "count",
     "gauge",
     "observe",
+    "stage",
     "NULL_SPAN",
+    "STAGES",
     # worker protocol
     "ship_to_workers",
     "ShardTelemetry",

@@ -1,10 +1,17 @@
-"""The active-recorder fast path and the worker-side recorder protocol.
+"""The library's one instrumentation API: sink slots, hooks, stage table.
 
-Hot paths never thread a recorder argument around; they call the
-module-level helpers here (:func:`span`, :func:`count`, ...), which reduce
-to a single ``is None`` check on the process-local active recorder when
-telemetry is off.  That one check is the entire disabled-mode overhead —
-the no-op guarantee the determinism tests rely on.
+Two sinks can be installed per process: the :class:`Recorder` and the
+live :class:`~repro.telemetry.progress.ProgressEngine`.  :func:`activate`
+installs either or both for a block; :func:`set_active` /
+:func:`set_engine` do so without one.  Instrumented sites never thread a
+sink around; they call the hooks here: :func:`span`, :func:`count`,
+:func:`gauge`, :func:`observe` (recorder only), :func:`stage` (a sampled
+stage's span, whose lifetime is also the stage's on the engine), and
+:func:`shards_mapped`, :func:`shard_completed`, :func:`shards_replayed`,
+:func:`chain_diagnostics`.  With no sink installed each hook returns
+after one test of a module global and allocates nothing; that test is
+the entire disabled-mode overhead.  Stage names live in one table,
+:data:`STAGES`.
 
 Cross-process protocol (mirrors ``CountedMetric.add_external``):
 
@@ -26,11 +33,48 @@ Cross-process protocol (mirrors ``CountedMetric.add_external``):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.telemetry.recorder import Recorder, Span
 
+
+class Stage(NamedTuple):
+    """A stage's recorder span, and the shard runner (``__name__``) and
+    ledger kind whose completions and replays count toward it."""
+
+    span: str
+    runner: str
+    ledger_kind: str
+
+
+#: The one table of stage names.  Keys are what the progress engine,
+#: ``/metrics`` (the ``stage=`` label), ``/status`` and ``repro top``
+#: report.
+STAGES = {
+    "first_stage": Stage("gibbs.first_stage", "run_gibbs_shard", "gibbs"),
+    "second_stage": Stage("second_stage", "run_is_shard", "is"),
+    "mc": Stage("mc.run", "run_mc_shard", "mc"),
+    "blockade": Stage("blockade.screen", "run_blockade_shard", "blockade"),
+}
+_STAGE_BY_RUNNER = {s.runner: name for name, s in STAGES.items()}
+_STAGE_BY_KIND = {s.ledger_kind: name for name, s in STAGES.items()}
+
+
+def stage_of_runner(fn) -> str:
+    """Stage a shard runner's completions count toward (a runner outside
+    the table, such as a method panel, reports under its own name)."""
+    name = getattr(fn, "__name__", str(fn))
+    return _STAGE_BY_RUNNER.get(name, name)
+
+
+# ----------------------------------------------------------------------
+# sink slots
+
 _active: Optional[Recorder] = None
+_engine = None
+#: True while either sink is installed: the one test hooks that feed
+#: both sinks make.
+_on = False
 
 
 def get_active() -> Optional[Recorder]:
@@ -38,22 +82,46 @@ def get_active() -> Optional[Recorder]:
     return _active
 
 
+def get_engine():
+    """The installed progress engine, or ``None``."""
+    return _engine
+
+
 def set_active(recorder: Optional[Recorder]) -> Optional[Recorder]:
     """Install ``recorder`` as the active one; returns the previous."""
-    global _active
+    global _active, _on
     previous = _active
     _active = recorder
+    _on = _active is not None or _engine is not None
+    return previous
+
+
+def set_engine(engine):
+    """Install ``engine`` as the progress sink; returns the previous."""
+    global _engine, _on
+    previous = _engine
+    _engine = engine
+    _on = _active is not None or _engine is not None
     return previous
 
 
 @contextmanager
-def activate(recorder: Recorder):
-    """Make ``recorder`` the active recorder for the duration of the block."""
-    previous = set_active(recorder)
+def activate(recorder: Optional[Recorder] = None, engine=None):
+    """Install the given sinks for the duration of the block.
+
+    A sink passed as ``None`` leaves its slot as it is.  Both slots are
+    restored on exit.  Yields ``recorder``.
+    """
+    previous = (_active, _engine)
+    if recorder is not None:
+        set_active(recorder)
+    if engine is not None:
+        set_engine(engine)
     try:
         yield recorder
     finally:
-        set_active(previous)
+        set_active(previous[0])
+        set_engine(previous[1])
 
 
 class _NullSpan:
@@ -80,6 +148,91 @@ def span(name: str, **attrs):
     if recorder is None:
         return NULL_SPAN
     return recorder.span(name, **attrs)
+
+
+@contextmanager
+def _engine_stage(engine, name: str, stage_span):
+    engine.stage_begin(name)
+    try:
+        with stage_span:
+            yield stage_span
+    finally:
+        engine.stage_end(name)
+
+
+def stage(name: str, **attrs):
+    """Open sampled stage ``name`` (a :data:`STAGES` key) for a block.
+
+    On the recorder this is the stage's span; on the engine the stage is
+    active from entry to exit.  A shared no-op when no sink is installed.
+    """
+    if not _on:
+        return NULL_SPAN
+    stage_span = span(STAGES[name].span, **attrs)
+    engine = _engine
+    if engine is None:
+        return stage_span
+    return _engine_stage(engine, name, stage_span)
+
+
+def shards_mapped(fn, n_tasks: int, on_result=None, fleet=None):
+    """An executor is about to run ``n_tasks`` shards of runner ``fn``;
+    returns the per-completion callback to fire in place of ``on_result``.
+    ``fleet`` (a remote coordinator) provides the exporter's fleet view."""
+    engine = _engine
+    if engine is None:
+        return on_result
+    stage_name = stage_of_runner(fn)
+    engine.map_started(stage_name, n_tasks)
+    if fleet is not None:
+        engine.attach_fleet(fleet.fleet_snapshot)
+
+    def report(result):
+        if on_result is not None:
+            on_result(result)
+        engine.shard_done(stage_name, result)
+
+    return report
+
+
+def shard_completed(fn, result, seconds: float) -> None:
+    """A remote worker finished one shard of runner ``fn``."""
+    if not _on:
+        return
+    recorder = _active
+    if recorder is not None:
+        recorder.count("worker.tasks_completed", 1)
+        recorder.observe("worker.task_seconds", seconds)
+    engine = _engine
+    if engine is not None:
+        engine.shard_done(stage_of_runner(fn), result)
+
+
+def shards_replayed(kind: str, replayed, n_scheduled: int,
+                    n_dropped: int) -> None:
+    """A ``kind`` ledger replayed ``replayed`` results; ``n_scheduled``
+    tasks still run.  Replays count toward completion on the engine, never
+    toward its live sims/sec rate."""
+    if not _on:
+        return
+    recorder = _active
+    if recorder is not None:
+        sims_saved = sum(int(getattr(r, "n_sims", 0) or 0) for r in replayed)
+        recorder.count("ledger.shards_replayed", len(replayed))
+        recorder.count("ledger.shards_scheduled", n_scheduled)
+        recorder.gauge("ledger.shards_replayed", len(replayed))
+        recorder.gauge("ledger.sims_saved", sims_saved)
+        recorder.gauge("ledger.rows_dropped", n_dropped)
+    engine = _engine
+    if engine is not None and replayed:
+        engine.shards_replayed(_STAGE_BY_KIND.get(kind, kind), replayed)
+
+
+def chain_diagnostics(max_rhat: float, min_ess: float) -> None:
+    """Pooled Gelman-Rubin R-hat / ESS at a first-stage fold point."""
+    engine = _engine
+    if engine is not None:
+        engine.chain_diagnostics(max_rhat, min_ess)
 
 
 def count(name: str, n=1) -> None:

@@ -62,11 +62,11 @@ class Span:
     def __enter__(self) -> "Span":
         self.pid = os.getpid()
         self.tid = threading.get_ident()
-        self.t_start = self._recorder._now()
+        self.t_start = clock.now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.t_end = self._recorder._now()
+        self.t_end = clock.now()
         self._recorder._finish_span(self)
         return False
 
@@ -97,15 +97,14 @@ class Recorder:
     ----------
     run_id:
         Label stamped on exports; no semantic meaning.
-    timer:
-        Explicit time source; ``None`` (default) reads the shared
-        telemetry clock dynamically, so tests that install a fake timer
-        via :func:`repro.telemetry.clock.use_timer` affect spans too.
+
+    Spans read the shared telemetry clock (:mod:`repro.telemetry.clock`),
+    so a test installs a fake timer with :func:`~repro.telemetry.clock.
+    use_timer`.
     """
 
-    def __init__(self, run_id: str = "run", timer=None):
+    def __init__(self, run_id: str = "run"):
         self.run_id = str(run_id)
-        self._timer = timer
         self._lock = threading.Lock()
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
@@ -123,10 +122,7 @@ class Recorder:
         #: Free-form metadata (the run manifest lands here).
         self.meta: Dict[str, object] = {}
         self.pid = os.getpid()
-        self.t0 = self._now()
-
-    def _now(self) -> float:
-        return self._timer() if self._timer is not None else clock.now()
+        self.t0 = clock.now()
 
     # ------------------------------------------------------------ metrics
     def count(self, name: str, n=1) -> None:

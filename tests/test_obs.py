@@ -1,12 +1,14 @@
-"""Tests for the live observability layer (repro.obs).
+"""Tests for live observability: the progress sink and its exporters.
 
-Contract under test: the progress engine is a pure observer — results
-are bit-identical with observability on or off on every backend — and
-its view is trustworthy: progress is monotone even when completions land
-out of order, ETAs are sane when a resumed run replays a shard prefix,
-and the Prometheus exposition parses line by line.
+Contract under test: the progress engine (a :mod:`repro.telemetry` sink)
+is a pure observer — results are bit-identical with it on or off on
+every backend — and its view is trustworthy: progress is monotone even
+when completions land out of order, ETAs are sane when a resumed run
+replays a shard prefix, every stage closes when its flow returns, and
+the Prometheus exposition (:mod:`repro.obs`) parses line by line.
 """
 
+import contextlib
 import threading
 import time
 import urllib.error
@@ -17,16 +19,20 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.analysis.experiments import compare_methods
+from repro.baselines.blockade import statistical_blockade
 from repro.mc.importance import importance_sampling_estimate
 from repro.mc.montecarlo import brute_force_monte_carlo
-from repro.obs import ProgressEngine, activate, get_active, stage_for
 from repro.obs.http import obs_status, start_metrics_server
 from repro.obs.prometheus import parse_exposition, render_exposition
 from repro.obs.top import fetch_status, render_dashboard, run_top
 from repro.parallel import ParallelExecutor, run_worker
-from repro.parallel.workers import run_is_shard, run_mc_shard
+from repro.parallel import workers
 from repro.stats.mvnormal import MultivariateNormal
 from repro.synthetic import LinearMetric
+from repro.telemetry import ProgressEngine, context, progress
+
+from tests.test_telemetry import _count_sink_calls
 
 
 @pytest.fixture
@@ -61,6 +67,27 @@ class FakeTimer:
         return self.now
 
 
+@pytest.fixture
+def timer():
+    """A fake shared telemetry clock, installed for the whole test."""
+    fake = FakeTimer()
+    with telemetry.use_timer(fake):
+        yield fake
+
+
+@pytest.fixture
+def instant_rate(monkeypatch):
+    """Make the sims/sec average track the latest interval exactly."""
+    monkeypatch.setattr(progress, "EWMA_TAU", 1e-9)
+
+
+@contextlib.contextmanager
+def engine_installed():
+    engine = ProgressEngine()
+    with telemetry.activate(engine=engine):
+        yield engine
+
+
 # ----------------------------------------------------------------------
 # bit-identity: observing never changes results
 
@@ -69,7 +96,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_mc_identical_on_and_off(self, problem, backend):
         reference = _mc(problem, n_workers=2, backend=backend)
-        with activate(ProgressEngine()) as engine:
+        with engine_installed() as engine:
             observed = _mc(problem, n_workers=2, backend=backend)
         assert engine.n_events > 0  # the hooks actually fired
         assert (
@@ -82,7 +109,7 @@ class TestBitIdentity:
 
     def test_mc_identical_on_remote_backend(self, problem):
         reference = _mc(problem, n_workers=1, backend="serial")
-        with activate(ProgressEngine()) as engine:
+        with engine_installed() as engine:
             with ParallelExecutor(
                 backend="remote", min_workers=2, heartbeat=0.5
             ) as ex:
@@ -114,7 +141,7 @@ class TestBitIdentity:
         for kwargs in ({}, {"n_workers": 2, "backend": "thread",
                             "shard_size": 512}):
             reference = run(**kwargs)
-            with activate(ProgressEngine()) as engine:
+            with engine_installed() as engine:
                 observed = run(**kwargs)
             assert engine.n_events > 0
             assert (
@@ -124,7 +151,7 @@ class TestBitIdentity:
             assert observed.relative_error == reference.relative_error
 
     def test_serial_paths_still_report_progress(self, problem):
-        with activate(ProgressEngine()) as engine:
+        with engine_installed() as engine:
             _mc(problem)  # no executor: the one-worker inline run
         (stage,) = engine.snapshot()["stages"]
         assert stage["stage"] == "mc"
@@ -132,11 +159,69 @@ class TestBitIdentity:
         assert stage["sims_live"] == 2000
         assert stage["convergence"] is not None
 
-    def test_witness_engine_records_zero_events_when_off(self, problem):
-        witness = ProgressEngine()
-        _mc(problem, n_workers=2, backend="thread")
-        assert get_active() is None
-        assert witness.n_events == 0
+    def test_witness_engine_records_zero_events_when_off(
+        self, problem, monkeypatch
+    ):
+        # Every engine event method counts its calls on the class, so a
+        # call on any instance would show; installed, the same run fires
+        # them (test_mc_identical_on_and_off).
+        calls = _count_sink_calls(
+            monkeypatch, lambda: _mc(problem, n_workers=2, backend="thread")
+        )
+        assert telemetry.get_engine() is None
+        assert not any(key.startswith("ProgressEngine.") for key in calls)
+
+
+# ----------------------------------------------------------------------
+# stage lifetime follows the stage span
+
+
+def _stages(engine):
+    return {s["stage"]: s for s in engine.snapshot()["stages"]}
+
+
+class TestStageLifetime:
+    def test_blockade_stage_closes_on_return(self, problem, timer):
+        with engine_installed() as engine:
+            statistical_blockade(
+                problem.metric, problem.spec, n_samples=20_000,
+                dimension=problem.dimension, n_train=500, rng=3,
+                shard_size=5_000,
+            )
+            blockade = _stages(engine)["blockade"]
+            assert blockade["active"] is False
+            assert blockade["shards_done"] == 4
+            elapsed = blockade["elapsed_s"]
+            assert elapsed is not None
+            timer.advance(5.0)
+            assert _stages(engine)["blockade"]["elapsed_s"] == elapsed
+            samples = parse_exposition(render_exposition(engine=engine))
+        assert samples[
+            ("repro_stage_active", (("stage", "blockade"),))
+        ] == 0.0
+
+    def test_overlapping_spans_of_one_stage_close_with_the_last(self, timer):
+        # Two panel methods on pool threads share the unscoped stage key.
+        engine = ProgressEngine()
+        engine.stage_begin("second_stage")
+        engine.stage_begin("second_stage")
+        engine.stage_end("second_stage")
+        assert _stages(engine)["second_stage"]["active"] is True
+        engine.stage_end("second_stage")
+        assert _stages(engine)["second_stage"]["active"] is False
+
+    def test_unannounced_map_never_leaves_a_stage_active(self, problem):
+        with engine_installed() as engine:
+            compare_methods(
+                problem, methods=("MC", "MNIS"), seed=3,
+                n_second_stage=1000, n_workers=1, backend="serial",
+            )
+        stages = _stages(engine)
+        # The panel map itself has no stage span: it raises totals only.
+        assert stages["_run_method_task"]["shards_done"] == 2
+        assert stages["_run_method_task"]["elapsed_s"] is None
+        assert {"mc", "second_stage"} <= set(stages)
+        assert not any(s["active"] for s in stages.values())
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +229,8 @@ class TestBitIdentity:
 
 
 class TestMonotoneProgress:
-    def test_fraction_never_decreases(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_fraction_never_decreases(self, timer):
+        engine = ProgressEngine()
         engine.map_started("mc", 10)
         seen = []
         # Completions land in an arbitrary order (remote workers race);
@@ -156,8 +241,8 @@ class TestMonotoneProgress:
         assert seen == sorted(seen)
         assert seen[-1] == 1.0
 
-    def test_totals_only_grow(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_totals_only_grow(self, timer):
+        engine = ProgressEngine()
         engine.map_started("mc", 4)
         state = engine.snapshot()["stages"][0]
         assert state["shards_total"] == 4
@@ -172,9 +257,13 @@ class TestMonotoneProgress:
         assert state["fraction"] == 1.0
 
     def test_stage_names_resolved_from_runner_functions(self):
-        assert stage_for(run_mc_shard) == "mc"
-        assert stage_for(run_is_shard) == "second_stage"
-        assert stage_for(len) == "len"  # unknown functions keep their name
+        stage_of = context.stage_of_runner
+        assert stage_of(workers.run_mc_shard) == "mc"
+        assert stage_of(workers.run_is_shard) == "second_stage"
+        assert stage_of(len) == "len"  # unknown functions keep their name
+        # Every runner the table names exists, one stage per runner.
+        for name, row in telemetry.STAGES.items():
+            assert stage_of(getattr(workers, row.runner)) == name
 
 
 # ----------------------------------------------------------------------
@@ -182,9 +271,8 @@ class TestMonotoneProgress:
 
 
 class TestEta:
-    def test_eta_tracks_remaining_work(self):
-        timer = FakeTimer()
-        engine = ProgressEngine(timer=timer, ewma_tau=1e-9)
+    def test_eta_tracks_remaining_work(self, timer, instant_rate):
+        engine = ProgressEngine()
         engine.map_started("mc", 10)
         etas = []
         for _ in range(10):
@@ -196,9 +284,10 @@ class TestEta:
         assert etas[4] == pytest.approx(5.0, rel=0.01)
         assert etas[-1] == 0.0
 
-    def test_replayed_prefix_counts_toward_completion_not_rate(self):
-        timer = FakeTimer()
-        engine = ProgressEngine(timer=timer, ewma_tau=1e-9)
+    def test_replayed_prefix_counts_toward_completion_not_rate(
+        self, timer, instant_rate
+    ):
+        engine = ProgressEngine()
         # Resume: 6 of 10 shards replay instantly from the ledger.
         engine.shards_replayed(
             "mc", [SimpleNamespace(n_sims=1000) for _ in range(6)]
@@ -216,8 +305,8 @@ class TestEta:
         # have inflated the rate (which would predict a ~3x shorter ETA).
         assert eta == pytest.approx(6.0, rel=0.05)
 
-    def test_empty_replay_is_a_no_op(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_empty_replay_is_a_no_op(self, timer):
+        engine = ProgressEngine()
         engine.shards_replayed("mc", [])
         assert engine.n_events == 0
         assert engine.snapshot()["stages"] == []
@@ -228,8 +317,8 @@ class TestEta:
 
 
 class TestScoping:
-    def test_scoped_stages_keep_separate_tallies(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_scoped_stages_keep_separate_tallies(self, timer):
+        engine = ProgressEngine()
         with engine.scoped("job-a"):
             engine.shard_done("mc", SimpleNamespace(n_sims=10))
         with engine.scoped("job-b"):
@@ -240,8 +329,8 @@ class TestScoping:
         assert [s["sims_live"] for s in b] == [20]
         assert engine.job_snapshot("job-c") == []
 
-    def test_chain_diagnostics_keyed_by_scope(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_chain_diagnostics_keyed_by_scope(self, timer):
+        engine = ProgressEngine()
         with engine.scoped("job-a"):
             engine.chain_diagnostics(1.01, 432.0)
         chain = engine.snapshot()["chain"]
@@ -256,7 +345,7 @@ class TestExposition:
     def test_every_line_parses_and_values_round_trip(self, problem):
         recorder = telemetry.Recorder("expo")
         engine = ProgressEngine()
-        with activate(engine), telemetry.activate(recorder):
+        with telemetry.activate(recorder, engine=engine):
             _mc(problem, n_workers=2, backend="thread")
         text = render_exposition(engine=engine, recorder=recorder)
         samples = parse_exposition(text)  # raises on any malformed line
@@ -287,8 +376,8 @@ class TestExposition:
         with pytest.raises(ValueError):
             parse_exposition("repro_up one\n")
 
-    def test_label_values_escaped(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_label_values_escaped(self, timer):
+        engine = ProgressEngine()
         with engine.scoped('job"with\\quotes'):
             engine.shard_done("mc", SimpleNamespace(n_sims=1))
         samples = parse_exposition(render_exposition(engine=engine))
@@ -297,7 +386,7 @@ class TestExposition:
 
     def test_extra_gauges_and_convergence_series(self, problem):
         engine = ProgressEngine()
-        with activate(engine):
+        with telemetry.activate(engine=engine):
             _mc(problem, n_workers=2, backend="thread")
         samples = parse_exposition(
             render_exposition(engine=engine, extra_gauges={"repro_x": 3})
@@ -348,7 +437,7 @@ class TestMetricsServer:
     def test_metrics_and_status_round_trip(self, problem):
         engine = ProgressEngine()
         recorder = telemetry.Recorder("srv")
-        with activate(engine), telemetry.activate(recorder):
+        with telemetry.activate(recorder, engine=engine):
             _mc(problem, n_workers=2, backend="thread")
             with start_metrics_server(0) as server:
                 with urllib.request.urlopen(
@@ -369,17 +458,17 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(f"{server.url}/nope", timeout=5)
 
-    def test_obs_status_defaults_to_actives(self):
-        engine = ProgressEngine(timer=FakeTimer())
+    def test_obs_status_defaults_to_actives(self, timer):
+        engine = ProgressEngine()
         engine.shard_done("mc", SimpleNamespace(n_sims=5))
-        with activate(engine):
+        with telemetry.activate(engine=engine):
             status = obs_status()
         assert status["snapshot"]["stages"][0]["sims_live"] == 5
 
 
 class TestTopDashboard:
     def _status(self):
-        engine = ProgressEngine(timer=FakeTimer())
+        engine = ProgressEngine()
         engine.map_started("mc", 8)
         for _ in range(3):
             engine.shard_done(
@@ -387,7 +476,7 @@ class TestTopDashboard:
             )
         return obs_status(engine=engine, recorder=None)
 
-    def test_render_dashboard_is_pure_text(self):
+    def test_render_dashboard_is_pure_text(self, timer):
         text = render_dashboard(self._status(), url="http://x:1")
         assert "mc" in text
         assert "3/8 shards" in text
@@ -395,7 +484,7 @@ class TestTopDashboard:
 
     def test_run_top_over_live_server(self, problem, capsys):
         engine = ProgressEngine()
-        with activate(engine):
+        with telemetry.activate(engine=engine):
             _mc(problem, n_workers=2, backend="thread")
             with start_metrics_server(0) as server:
                 code = run_top(server.url, interval=0.01, iterations=2)
@@ -426,7 +515,7 @@ class TestServiceObservability:
         from repro.service import YieldService, make_server
 
         with YieldService(cache_dir=tmp_path, n_job_workers=1) as service:
-            assert get_active() is service.progress
+            assert telemetry.get_engine() is service.progress
             job = service.submit(dict(self.QUERY))
             service.result(job.id, timeout=120)
             status = service.status(job.id)
@@ -464,7 +553,7 @@ class TestServiceObservability:
         assert samples[key] == 4.0
         assert status["service"]["total_jobs"] == 1
         # Closing the service uninstalls its engine.
-        assert get_active() is None
+        assert telemetry.get_engine() is None
 
     def test_observability_false_installs_nothing(self, tmp_path):
         from repro.service import YieldService
@@ -473,7 +562,7 @@ class TestServiceObservability:
             cache_dir=tmp_path, n_job_workers=1, observability=False
         ) as service:
             assert service.progress is None
-            assert get_active() is None
+            assert telemetry.get_engine() is None
             job = service.submit(dict(self.QUERY))
             service.result(job.id, timeout=120)
             assert "progress" not in service.status(job.id)
@@ -501,7 +590,7 @@ class TestLiveScrape:
         engine = ProgressEngine()
         slow = _SlowMetric(problem.metric, problem.dimension, 0.05)
         text = None
-        with activate(engine):
+        with telemetry.activate(engine=engine):
             with start_metrics_server(0) as server, ParallelExecutor(
                 backend="remote", min_workers=2, heartbeat=0.5
             ) as ex:

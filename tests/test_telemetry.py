@@ -11,17 +11,20 @@ Three properties carry the subsystem:
   no-ops and a run records nothing.
 """
 
+import collections
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.baselines.blockade import statistical_blockade
 from repro.gibbs.two_stage import gibbs_importance_sampling
 from repro.mc.counter import CountedMetric
 from repro.mc.montecarlo import brute_force_monte_carlo
-from repro.parallel import ParallelExecutor, probe_metric_cost
+from repro.parallel import ParallelExecutor, probe_metric_cost, run_worker
 from repro.synthetic import LinearMetric
 from repro.telemetry import clock as telemetry_clock
 from repro.telemetry import context as telemetry_context
@@ -36,10 +39,11 @@ def problem():
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_recorder():
-    """Every test must leave the process-local recorder slot empty."""
+def _no_leaked_sinks():
+    """Every test must leave both process-local sink slots empty."""
     yield
     assert telemetry_context.get_active() is None
+    assert telemetry_context.get_engine() is None
 
 
 def _fake_timer(step=1.0):
@@ -66,9 +70,10 @@ class TestRecorder:
         assert rec.histograms["latency"] == [2, 6.0, 2.0, 4.0]
 
     def test_span_records_wall_time_and_counters(self):
-        rec = telemetry.Recorder("t", timer=_fake_timer())
-        with rec.span("stage", kind="demo") as sp:
-            sp.add("sims", 100)
+        with telemetry_clock.use_timer(_fake_timer()):
+            rec = telemetry.Recorder("t")
+            with rec.span("stage", kind="demo") as sp:
+                sp.add("sims", 100)
         (event,) = rec.spans
         assert event["name"] == "stage"
         assert event["attrs"] == {"kind": "demo"}
@@ -94,9 +99,10 @@ class TestRecorder:
         assert len(parent.spans) == 1
 
     def test_summary_lists_spans_and_counters(self):
-        rec = telemetry.Recorder("t", timer=_fake_timer())
-        with rec.span("stage") as sp:
-            sp.add("sims", 12)
+        with telemetry_clock.use_timer(_fake_timer()):
+            rec = telemetry.Recorder("t")
+            with rec.span("stage") as sp:
+                sp.add("sims", 12)
         rec.count("metric.sims", 12)
         text = rec.summary()
         assert "stage" in text
@@ -116,12 +122,38 @@ class TestActiveRecorderFastPath:
     def test_disabled_helpers_are_noops(self):
         assert telemetry.get_active() is None
         assert not telemetry.enabled()
+        assert telemetry.get_engine() is None
         assert telemetry.span("x") is telemetry.NULL_SPAN
+        assert telemetry.stage("mc") is telemetry.NULL_SPAN
         telemetry.count("x")
         telemetry.gauge("x", 1)
         telemetry.observe("x", 1)
         with telemetry.span("x") as sp:
             sp.add("y")
+        callback = object()
+        hooks = telemetry_context
+        assert hooks.shards_mapped(len, 3, callback) is callback
+        hooks.shard_completed(len, None, 1.0)
+        hooks.shards_replayed("mc", [object()], 2, 0)
+        hooks.chain_diagnostics(1.0, 10.0)
+
+    def test_activate_installs_both_sinks_and_restores(self):
+        rec, engine = telemetry.Recorder("t"), telemetry.ProgressEngine()
+        with telemetry.activate(rec, engine=engine) as active:
+            assert active is rec
+            assert telemetry.get_active() is rec
+            assert telemetry.get_engine() is engine
+            # A nested block naming one sink leaves the other in place.
+            with telemetry.activate(telemetry.Recorder("inner")):
+                assert telemetry.get_engine() is engine
+            assert telemetry.get_active() is rec
+            with telemetry.stage("mc", samples=4) as sp:
+                sp.add("sims", 4)
+                assert engine.snapshot()["stages"][0]["active"]
+        assert not engine.snapshot()["stages"][0]["active"]
+        (span,) = rec.spans
+        assert span["name"] == telemetry.STAGES["mc"].span == "mc.run"
+        assert span["counters"] == {"sims": 4}
 
     def test_activate_scopes_the_recorder(self):
         rec = telemetry.Recorder("t")
@@ -313,18 +345,115 @@ class TestFoldExactness:
         (stage,) = [e for e in rec.spans if e["name"] == "second_stage"]
         assert total == stage["counters"]["sims"] == 300
 
-    def test_disabled_run_records_nothing(self, problem):
-        rec = telemetry.Recorder("witness")
-        _traced_gibbs(problem, 2, "process", False)
-        assert rec.n_events == 0
+    def test_disabled_run_records_nothing(self, problem, monkeypatch):
+        calls = _count_sink_calls(
+            monkeypatch, lambda: _traced_gibbs(problem, 2, "process", False)
+        )
+        assert calls == {}
         assert telemetry.get_active() is None
+
+
+#: Every method through which the library's hooks reach a sink.
+SINK_EVENTS = {
+    telemetry.Recorder: ("count", "gauge", "observe", "span", "fold"),
+    telemetry.ProgressEngine: (
+        "stage_begin", "stage_end", "map_started", "shard_done",
+        "shards_replayed", "chain_diagnostics", "attach_fleet",
+    ),
+}
+
+
+def _count_sink_calls(monkeypatch, run) -> collections.Counter:
+    """Run ``run()`` with every sink event method counting its calls.
+
+    The methods are patched on the classes, so a call on *any* instance —
+    installed or not, in any thread — is seen.
+    """
+    calls = collections.Counter()
+    for cls, names in SINK_EVENTS.items():
+        for name in names:
+            def counted(self, *args, _key=f"{cls.__name__}.{name}",
+                        _original=getattr(cls, name), **kwargs):
+                calls[_key] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    run()
+    return calls
+
+
+def _every_hook_site(problem, checkpoint_dir):
+    """A run through every instrumented site: both Gibbs stages with a
+    ledger (run twice, so the second replays it), sharded MC, blockade
+    and a remote map served by an in-process worker."""
+    for _ in range(2):
+        gibbs_importance_sampling(
+            problem.metric, problem.spec, coordinate_system="spherical",
+            n_gibbs=10, n_chains=2, n_second_stage=300, rng=11,
+            n_workers=2, backend="thread", checkpoint_dir=checkpoint_dir,
+        )
+    brute_force_monte_carlo(
+        problem.metric, problem.spec, 2000, dimension=problem.dimension,
+        rng=3, n_workers=2, backend="thread", shard_size=500,
+    )
+    statistical_blockade(
+        problem.metric, problem.spec, n_samples=4000,
+        dimension=problem.dimension, n_train=200, rng=5, n_workers=1,
+        shard_size=1000,
+    )
+    with ParallelExecutor(
+        backend="remote", min_workers=1, heartbeat=0.5
+    ) as ex:
+        worker = threading.Thread(
+            target=run_worker, args=ex.address, daemon=True
+        )
+        worker.start()
+        brute_force_monte_carlo(
+            problem.metric, problem.spec, 1000,
+            dimension=problem.dimension, rng=4, shard_size=500, executor=ex,
+        )
+    worker.join(timeout=10)
+
+
+class TestDisabledPath:
+    """With no sink installed, no sink method runs anywhere in a run.
+
+    The same harness with both sinks installed must count calls on every
+    engine event and on the recorder, which proves the check can fail.
+    """
+
+    @pytest.mark.parametrize("installed", [False, True],
+                             ids=["off", "on"])
+    def test_sink_event_calls(self, problem, tmp_path, monkeypatch,
+                              installed):
+        def run():
+            if not installed:
+                _every_hook_site(problem, tmp_path)
+                return
+            with telemetry.activate(
+                telemetry.Recorder("witness"),
+                engine=telemetry.ProgressEngine(),
+            ):
+                _every_hook_site(problem, tmp_path)
+
+        calls = _count_sink_calls(monkeypatch, run)
+        assert telemetry.get_active() is None
+        assert telemetry.get_engine() is None
+        if not installed:
+            assert calls == {}
+            return
+        for name in SINK_EVENTS[telemetry.ProgressEngine]:
+            assert calls[f"ProgressEngine.{name}"] > 0, name
+        for name in ("count", "gauge", "observe", "span"):
+            assert calls[f"Recorder.{name}"] > 0, name
 
 
 class TestExport:
     def _recorder(self):
-        rec = telemetry.Recorder("t", timer=_fake_timer())
-        with rec.span("stage", kind="demo") as sp:
-            sp.add("sims", 9)
+        with telemetry_clock.use_timer(_fake_timer()):
+            rec = telemetry.Recorder("t")
+            with rec.span("stage", kind="demo") as sp:
+                sp.add("sims", 9)
         rec.count("metric.sims", 9)
         rec.gauge("workers", 2)
         rec.observe("h", 1.5)
